@@ -87,7 +87,7 @@ func main() {
 		workerAddrs = flag.String("worker-addrs", "", "comma-separated addresses of already-running djworkers to use instead of spawning (implies -stream)")
 		workerBin   = flag.String("worker-bin", "", "djworker binary to spawn (default: djworker next to this binary, then $PATH)")
 		distTimeout = flag.Duration("dist-timeout", 0, "per-stage timeout in distributed mode; a worker exceeding it is treated as failed (default 2m)")
-		distComp    = flag.Bool("dist-compress", false, "compress coordinator<->worker frames on the v2 dispatch wire (recipe key dist_compress; see docs/distributed.md)")
+		distComp    = flag.Bool("dist-compress", false, "compress coordinator<->worker frames on the dispatch wire (recipe key dist_compress; see docs/distributed.md)")
 		listen      = flag.String("listen", "", "serve the live ops endpoint on this address during the run: /metrics, /progress, /debug/pprof/* (see docs/observability.md)")
 		linger      = flag.Bool("listen-linger", false, "keep the -listen endpoint serving after the run completes, until interrupted")
 		noJournal   = flag.Bool("no-journal", false, "disable the structured run journal (<work_dir>/journal/<run_id>.jsonl)")
@@ -209,7 +209,9 @@ func main() {
 
 	tele, srv := openTelemetry(recipe)
 	if *streamMode || recipe.Adaptive || distributed {
-		runStreaming(recipe, recipeSrc, inputSpec, *shardSize, *showPlan, *probe || *space, tele, dopts)
+		if err := runStreaming(recipe, recipeSrc, inputSpec, *shardSize, *showPlan, *probe || *space, tele, dopts); err != nil {
+			fatal(err)
+		}
 	} else {
 		runBatch(recipe, recipeSrc, inputSpec, *showPlan, *probe, *space, tele)
 	}
@@ -260,10 +262,14 @@ func finishTelemetry(t *telemetry.Run, srv *telemetry.Server, linger bool) {
 }
 
 // failRun records the failure in the journal before exiting.
-func failRun(t *telemetry.Run, err error) {
+func failRun(t *telemetry.Run, err error) { fatal(endRunError(t, err)) }
+
+// endRunError closes the journal with run_end status=error and returns
+// err.
+func endRunError(t *telemetry.Run, err error) error {
 	t.End("error", 0, 0, err, nil)
 	t.Close()
-	fatal(err)
+	return err
 }
 
 // runBatch executes the recipe on the whole-dataset batch executor.
@@ -371,8 +377,10 @@ func (d distOptions) enabled() bool { return d.workers > 0 || len(d.addrs) > 0 }
 // input is never fully resident, and export shards appear as the stream
 // progresses. With distributed options set it becomes the coordinator
 // of a djworker fleet — shard-local stages run in the workers, dedup
-// indexes, barriers and export stay here.
-func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize int, showPlan, probeOrSpace bool, tele *telemetry.Run, dopts distOptions) {
+// indexes, barriers and export stay here. Errors are returned rather
+// than exiting so the fleet teardown always runs; those after run_start
+// are journaled first.
+func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize int, showPlan, probeOrSpace bool, tele *telemetry.Run, dopts distOptions) error {
 	if probeOrSpace {
 		fmt.Fprintln(os.Stderr, "djprocess: -probe/-space need the full dataset; ignored in -stream mode")
 	}
@@ -389,7 +397,7 @@ func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize 
 			StageTimeout: dopts.timeout,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer pool.Close()
 	}
@@ -405,14 +413,14 @@ func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize 
 	}
 	eng, err := stream.New(recipe, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// run_start must be the journal's first event, so Begin precedes
 	// Configure (which journals one worker_start per fleet member).
 	tele.Begin(backend, recipeSrc, inputSpec, 0)
 	if pool != nil {
 		if err := pool.Configure(recipe, eng.Plan(), tele.ID(), tele); err != nil {
-			failRun(tele, err)
+			return endRunError(tele, err)
 		}
 	}
 	if showPlan {
@@ -421,25 +429,25 @@ func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize 
 	}
 	src, err := stream.OpenSource(inputSpec, shardSize)
 	if err != nil {
-		fatal(err)
+		return endRunError(tele, err)
 	}
 	var sink stream.Sink = stream.DiscardSink{}
 	var sharded *stream.ShardedJSONLSink
 	prefix := ""
 	if recipe.ExportPath != "" {
 		if !strings.EqualFold(".jsonl", filepath.Ext(recipe.ExportPath)) {
-			fatal(fmt.Errorf("stream mode exports sharded JSONL; use a .jsonl export path (got %q)", recipe.ExportPath))
+			return endRunError(tele, fmt.Errorf("stream mode exports sharded JSONL; use a .jsonl export path (got %q)", recipe.ExportPath))
 		}
 		prefix = recipe.ExportPath[:len(recipe.ExportPath)-len(".jsonl")]
 		sharded, err = stream.NewShardedJSONLSink(prefix)
 		if err != nil {
-			fatal(err)
+			return endRunError(tele, err)
 		}
 		sink = sharded
 	}
 	report, err := eng.Run(src, sink)
 	if err != nil {
-		failRun(tele, err)
+		return endRunError(tele, err)
 	}
 	if sharded != nil {
 		tele.Emit(telemetry.Event{Type: telemetry.EvExport,
@@ -459,6 +467,7 @@ func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize 
 	if tr := eng.Tracer(); tr != nil {
 		fmt.Print(tr.Summary())
 	}
+	return nil
 }
 
 func loadRecipe(path, builtin string) (*config.Recipe, error) {

@@ -9,11 +9,13 @@
 //
 // Usage:
 //
-//	djworker [-id N] [-listen 127.0.0.1:0] [-work-dir DIR] [-max-proto N]
+//	djworker [-id N] [-listen 127.0.0.1:0] [-work-dir DIR]
 //
 // The worker prints "ready <addr>" on stdout once it is serving — with
 // -listen 127.0.0.1:0 that line is how the coordinator learns the
-// OS-assigned port. SIGTERM and SIGINT shut it down gracefully.
+// OS-assigned port. SIGTERM and SIGINT shut it down: in-flight requests
+// get a brief grace period, then every connection is closed. A worker
+// spawned by a coordinator also dies with it (see remote.BindLifetime).
 //
 // The DJ_FAULT environment variable arms a fault for conformance
 // testing: "crash", "hang" or "corrupt", optionally ":after=N" to
@@ -40,10 +42,9 @@ import (
 
 func main() {
 	var (
-		id       = flag.Int("id", 1, "1-based worker ID (journal lane)")
-		listen   = flag.String("listen", "127.0.0.1:0", "address to serve on (port 0 = OS-assigned, reported on the ready line)")
-		workDir  = flag.String("work-dir", "", "private work directory (default: a temp dir)")
-		maxProto = flag.Int("max-proto", 0, "cap the negotiated wire version (0 = newest supported; 1 emulates a v1-only worker)")
+		id      = flag.Int("id", 1, "1-based worker ID (journal lane)")
+		listen  = flag.String("listen", "127.0.0.1:0", "address to serve on (port 0 = OS-assigned, reported on the ready line)")
+		workDir = flag.String("work-dir", "", "private work directory (default: a temp dir)")
 	)
 	flag.Parse()
 
@@ -58,7 +59,7 @@ func main() {
 		fatal(err)
 	}
 
-	srv := &remote.WorkerServer{ID: *id, WorkDir: wd, MaxProto: *maxProto}
+	srv := &remote.WorkerServer{ID: *id, WorkDir: wd}
 	if spec := os.Getenv("DJ_FAULT"); spec != "" {
 		f, err := remote.ParseFault(spec)
 		if err != nil {
@@ -84,9 +85,14 @@ func main() {
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	select {
 	case <-sig:
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		// Shutdown counts a connection that never carried a request as
+		// busy for seconds; the coordinator signals only once its stages
+		// are done, so a short drain suffices before closing everything.
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
-		hs.Shutdown(ctx)
+		if hs.Shutdown(ctx) != nil {
+			hs.Close()
+		}
 	case err := <-errCh:
 		if err != nil && err != http.ErrServerClosed {
 			fatal(err)

@@ -1,8 +1,7 @@
-// Wire-protocol v2 conformance: negotiation against old workers, mixed
-// fleets, keep-mask delta responses for filter-only stages, and frame
-// compression must all leave the export byte-identical to a
-// single-process run, with the transport accounting visible in the
-// report and journal.
+// Dispatch-wire conformance: keep-mask delta responses for filter-only
+// stages and frame compression must both leave the export
+// byte-identical to a single-process run, with the transport accounting
+// visible in the report and journal.
 package repro_test
 
 import (
@@ -84,7 +83,7 @@ func runTransportCase(t *testing.T, r *config.Recipe, input string, want []byte,
 }
 
 // TestDistributedV2Delta pins the keep-mask path: a filter-only recipe
-// over a v2 fleet must answer stages with deltas, shrink the response
+// over a fleet must answer stages with deltas, shrink the response
 // bytes, journal the accounting, and stay byte-identical — stats
 // annotations included, since the export carries them.
 func TestDistributedV2Delta(t *testing.T) {
@@ -111,7 +110,7 @@ func TestDistributedV2Delta(t *testing.T) {
 	st := pool.DistStats()
 	for _, w := range st.Workers {
 		if w.Proto != 2 {
-			t.Errorf("worker %d negotiated proto %d, want 2", w.Worker, w.Proto)
+			t.Errorf("worker %d reports proto %d, want 2", w.Worker, w.Proto)
 		}
 	}
 	// Delta responses carry a bitmap + stats instead of full samples: the
@@ -152,74 +151,5 @@ func TestDistributedCompress(t *testing.T) {
 	st := pool.DistStats()
 	if st.RawBytesSent <= sent {
 		t.Errorf("compression shows no shrink: %d raw, %d on the wire", st.RawBytesSent, sent)
-	}
-}
-
-// TestDistributedMixedFleet dials one old (v1-capped) worker and one
-// current worker: negotiation must land each on its own version and the
-// merged export must stay byte-identical.
-func TestDistributedMixedFleet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	input := chaosInput(t)
-	r := filterRecipe(t)
-	want, _, err := runStreamOnce(t, r, input, 40, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	old := disttest.StartWorker(t, 1, "", "-max-proto", "1")
-	cur := disttest.StartWorker(t, 2, "")
-	pool, _, sent, recv, _ := runTransportCase(t, r, input, want, remote.PoolOptions{
-		Addrs: []string{old.Addr, cur.Addr},
-	})
-	if sent <= 0 || recv <= 0 {
-		t.Errorf("no wire accounting: sent=%d recv=%d", sent, recv)
-	}
-	st := pool.DistStats()
-	if len(st.Workers) != 2 {
-		t.Fatalf("fleet stats cover %d workers, want 2", len(st.Workers))
-	}
-	if st.Workers[0].Proto != 1 {
-		t.Errorf("v1-capped worker negotiated proto %d", st.Workers[0].Proto)
-	}
-	if st.Workers[1].Proto != 2 {
-		t.Errorf("current worker negotiated proto %d", st.Workers[1].Proto)
-	}
-	if st.Workers[0].DeltaStages != 0 {
-		t.Errorf("v1 worker answered %d delta stages", st.Workers[0].DeltaStages)
-	}
-}
-
-// TestDistributedV1Coordinator caps the coordinator at v1 against a
-// current fleet: the fallback path old coordinators will take against
-// new workers.
-func TestDistributedV1Coordinator(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	input := chaosInput(t)
-	r := filterRecipe(t)
-	want, _, err := runStreamOnce(t, r, input, 40, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pool, _, sent, _, deltas := runTransportCase(t, r, input, want, remote.PoolOptions{
-		Workers:   2,
-		WorkerBin: disttest.WorkerBin(t),
-		MaxProto:  1,
-	})
-	if deltas != 0 {
-		t.Errorf("v1 coordinator recorded %d delta stages", deltas)
-	}
-	if sent <= 0 {
-		t.Errorf("v1 path lost its wire accounting: sent=%d", sent)
-	}
-	for _, w := range pool.DistStats().Workers {
-		if w.Proto != 1 {
-			t.Errorf("worker %d negotiated proto %d under a v1 coordinator", w.Worker, w.Proto)
-		}
 	}
 }

@@ -80,9 +80,9 @@ type Recipe struct {
 	// parallelism only, never the kept set.
 	IndexPartitions int
 	// DistCompress enables lzj compression of the frames exchanged with
-	// djworker fleets over the v2 dispatch wire (djprocess -dist-compress,
-	// recipe key dist_compress). v1 workers ignore it. Off by default:
-	// loopback fleets are rarely bandwidth-bound.
+	// djworker fleets over the dispatch wire (djprocess -dist-compress,
+	// recipe key dist_compress). Off by default: loopback fleets are
+	// rarely bandwidth-bound.
 	DistCompress bool
 	// EnableTrace records per-OP lineage for the tracer.
 	EnableTrace bool

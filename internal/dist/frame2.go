@@ -14,8 +14,9 @@ import (
 	"repro/internal/spill"
 )
 
-// This file is wire protocol v2: a binary columnar frame replacing the
-// v1 JSON-text shard payload, negotiated per worker at configure time.
+// This file is the dispatch wire's frame codec (DJF2): a binary
+// columnar shard payload, so stage traffic never round-trips samples
+// through JSON text.
 //
 // Frame layout (all little-endian), following one JSON header line:
 //
@@ -53,7 +54,7 @@ const (
 	frame2BlockSize   = 256 << 10
 	frame2MaxBlockEnc = 4 << 20
 	// frame2MaxCount bounds the sample count a header may claim;
-	// frame2MaxSampleLen matches the v1 JSONL line cap.
+	// frame2MaxSampleLen matches the JSONL reader's line cap.
 	frame2MaxCount     = 1 << 26
 	frame2MaxSampleLen = 1 << 26
 )
@@ -73,7 +74,6 @@ var frame2Codec = func() cache.Codec {
 // WireStat accounts one stage exchange: bytes on the wire and their
 // uncompressed (raw) equivalents, for the compression-ratio counters.
 type WireStat struct {
-	Proto   int
 	Delta   bool
 	Sent    int64
 	Recv    int64
@@ -88,17 +88,6 @@ type countWriter struct {
 
 func (c *countWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
 }
@@ -358,7 +347,7 @@ func writeDeltaBatches(fw *frame2Writer, kept []*sample.Sample) error {
 	return nil
 }
 
-// Frame2 is one decoded v2 body.
+// Frame2 is one decoded frame body.
 type Frame2 struct {
 	// Data holds the decoded samples. In delta mode it carries one
 	// stats-only sample per kept input, in input order.
@@ -370,7 +359,7 @@ type Frame2 struct {
 	Raw     int64  // uncompressed equivalent of Wire
 }
 
-// Frame2Reader reads one v2 frame: a JSON header line followed by the
+// Frame2Reader reads one frame: a JSON header line followed by the
 // binary body, off a single buffered reader. Callers read the header
 // first — error responses are header-only — then the body.
 type Frame2Reader struct {

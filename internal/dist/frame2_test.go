@@ -357,25 +357,3 @@ func TestFrame2RejectsBadDelta(t *testing.T) {
 		t.Error("writer accepted a short mask")
 	}
 }
-
-// TestWorkerClientProtoNegotiation pins the clamping rules: a worker
-// that never answers with a proto (an old binary) stays on v1, and
-// SetProto never exceeds the coordinator's own maximum.
-func TestWorkerClientProtoNegotiation(t *testing.T) {
-	c := &WorkerClient{}
-	if c.Proto() != ProtoVersion {
-		t.Errorf("zero-value proto %d, want %d", c.Proto(), ProtoVersion)
-	}
-	c.SetProto(0) // v1 worker: no proto field in ConfigureResponse
-	if c.Proto() != ProtoVersion {
-		t.Errorf("proto after SetProto(0): %d, want %d", c.Proto(), ProtoVersion)
-	}
-	c.SetProto(ProtoV2)
-	if c.Proto() != ProtoV2 {
-		t.Errorf("proto after SetProto(2): %d, want %d", c.Proto(), ProtoV2)
-	}
-	c.SetProto(99) // future worker: clamp to what we speak
-	if c.Proto() != MaxProtoVersion {
-		t.Errorf("proto after SetProto(99): %d, want %d", c.Proto(), MaxProtoVersion)
-	}
-}

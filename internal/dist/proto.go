@@ -1,14 +1,12 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -22,39 +20,24 @@ import (
 //	POST /v1/configure  JSON ConfigureRequest -> ConfigureResponse:
 //	                    ship the recipe + measured profiles, build the
 //	                    same physical plan, verify its fingerprint
-//	POST /v1/run        frame in -> frame out: apply a contiguous range
+//	POST /v2/run        frame in -> frame out: apply a contiguous range
 //	                    of shard-local plan ops to one shard
 //	POST /v1/flush      JSON FlushRequest -> FlushResponse: quiesced
 //	                    end-of-run fused-member statistics
 //
-// A v1 frame is one JSON header line followed by the shard's samples in
-// JSONL (the same byte-identical codec both backends export with), so
-// shard payloads never pass through a second serialization format.
-// Responses are validated structurally — sample count and per-op flow
-// indexes must match the header — and any mismatch is treated as a
-// corrupt response, which the scheduler retries elsewhere.
-//
-// Workers that negotiate protocol v2 at configure time additionally
-// serve POST /v2/run, which exchanges the streaming binary columnar
-// frames of frame2.go (optionally lzj-compressed, optionally answering
-// a filter-only stage with a keep-mask delta instead of the shard).
-// The same structural validation applies, so a corrupt v2 frame is
-// retried exactly like a corrupt v1 frame.
+// Stage frames are the streaming binary columnar DJF2 frames of
+// frame2.go (optionally lzj-compressed, optionally answering a
+// filter-only stage with a keep-mask delta instead of the shard); error
+// responses are a header line alone. Responses are validated
+// structurally — sample count and per-op flow indexes must match the
+// header — and any mismatch is treated as a corrupt response, which the
+// scheduler retries elsewhere.
 
 // ProtoVersion guards the coordinator/worker wire format. The
-// coordinator sends it in ConfigureRequest; workers reject a mismatch
-// rather than misinterpreting frames. v2 is strictly additive, so the
-// base version stays 1 and the extension is negotiated via MaxProto:
-// old workers ignore the unknown field and answer without a proto,
-// which the coordinator reads as v1.
-const ProtoVersion = 1
-
-// ProtoV2 adds the /v2/run endpoint: streaming columnar frames,
-// optional lzj block compression, and keep-mask delta responses.
-const (
-	ProtoV2         = 2
-	MaxProtoVersion = ProtoV2
-)
+// coordinator sends it in ConfigureRequest and workers reject any other
+// value, so a binary from another protocol generation fails the run at
+// configure time rather than misinterpreting frames.
+const ProtoVersion = 2
 
 // ConfigureRequest ships everything a worker needs to rebuild the
 // coordinator's physical plan: the resolved recipe (JSON round-trip of
@@ -64,7 +47,6 @@ const (
 // rejects the configure if its own plan disagrees.
 type ConfigureRequest struct {
 	Proto       int             `json:"proto"`
-	MaxProto    int             `json:"max_proto,omitempty"`
 	RunID       string          `json:"run_id"`
 	Recipe      json.RawMessage `json:"recipe"`
 	Profiles    []StoredProfile `json:"profiles,omitempty"`
@@ -72,23 +54,18 @@ type ConfigureRequest struct {
 }
 
 // ConfigureResponse acknowledges a configure. On fingerprint or proto
-// mismatch OK is false and Error says why. Proto is the wire version
-// the worker commits to (absent from v1 workers, which the coordinator
-// reads as 1).
+// mismatch OK is false and Error says why.
 type ConfigureResponse struct {
-	OK          bool   `json:"ok"`
-	Proto       int    `json:"proto,omitempty"`
-	Fingerprint string `json:"fingerprint"`
-	PlanOps     int    `json:"plan_ops"`
-	Error       string `json:"error,omitempty"`
+	OK    bool   `json:"ok"`
+	Error string `json:"error,omitempty"`
 }
 
 // RunHeader is the request header line of a run frame: apply plan ops
-// [FromOp, ToOp) to the attached shard. Delta and Compress only travel
-// on /v2/run: Delta asks for a keep-mask response when the range is
-// filter-only (the worker re-derives eligibility from its own plan and
-// falls back to a full frame if it disagrees), Compress asks for lzj
-// block compression on the response body.
+// [FromOp, ToOp) to the attached shard. Delta asks for a keep-mask
+// response when the range is filter-only (the worker re-derives
+// eligibility from its own plan and falls back to a full frame if it
+// disagrees), Compress asks for lzj block compression on the response
+// body.
 type RunHeader struct {
 	RunID    string `json:"run_id"`
 	Shard    int    `json:"shard"`
@@ -111,9 +88,9 @@ type OpFlow struct {
 	DurNS   int64  `json:"dur_ns"`
 }
 
-// ResultHeader is the response header line of a run frame. Delta (v2
-// only) says the attached frame is a keep-mask delta rather than the
-// full surviving shard.
+// ResultHeader is the response header line of a run frame. Delta says
+// the attached frame is a keep-mask delta rather than the full
+// surviving shard.
 type ResultHeader struct {
 	Shard   int      `json:"shard"`
 	Samples int      `json:"samples"`
@@ -144,46 +121,22 @@ type FlushResponse struct {
 	Members []MemberFlow `json:"members,omitempty"`
 }
 
-// WriteFrame encodes one header-line + JSONL-samples frame.
-func WriteFrame(w io.Writer, header any, d *dataset.Dataset) error {
+// WriteHeaderLine writes header as one JSON line — the whole of an
+// error response, and the first line of every frame.
+func WriteHeaderLine(w io.Writer, header any) error {
 	raw, err := json.Marshal(header)
 	if err != nil {
 		return err
 	}
-	raw = append(raw, '\n')
-	if _, err := w.Write(raw); err != nil {
-		return err
-	}
-	if d == nil {
-		return nil
-	}
-	return d.WriteJSONL(w)
-}
-
-// ReadFrame decodes a frame written by WriteFrame: the first line into
-// header, the remainder as the shard's samples.
-func ReadFrame(r io.Reader, header any) (*dataset.Dataset, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	line, err := br.ReadBytes('\n')
-	if err != nil && (err != io.EOF || len(line) == 0) {
-		return nil, fmt.Errorf("dist: frame header: %w", err)
-	}
-	if err := json.Unmarshal(line, header); err != nil {
-		return nil, fmt.Errorf("dist: frame header: %w", err)
-	}
-	d, err := dataset.ReadJSONL(br)
-	if err != nil {
-		return nil, fmt.Errorf("dist: frame payload: %w", err)
-	}
-	return d, nil
+	_, err = w.Write(append(raw, '\n'))
+	return err
 }
 
 // WorkerClient is the coordinator's handle on one djworker process.
 type WorkerClient struct {
-	ID    int // 1-based worker ID (0 is the coordinator itself)
-	Addr  string
-	http  *http.Client
-	proto int // negotiated wire version; 0 means v1
+	ID   int // 1-based worker ID (0 is the coordinator itself)
+	Addr string
+	http *http.Client
 }
 
 // sharedTransport carries every worker client: dispatch issues many
@@ -195,6 +148,12 @@ var sharedTransport = &http.Transport{
 	IdleConnTimeout:     60 * time.Second,
 }
 
+// CloseIdleConnections drops every idle keep-alive connection to every
+// worker. A worker's graceful shutdown waits on open connections —
+// including one the transport dialed speculatively and never used — so
+// the pool calls this before signalling its fleet.
+func CloseIdleConnections() { sharedTransport.CloseIdleConnections() }
+
 // NewWorkerClient builds a client for one worker. The timeout bounds
 // every request end-to-end — a hung worker surfaces as a timeout error,
 // which the scheduler treats like any other failed attempt.
@@ -203,26 +162,6 @@ func NewWorkerClient(id int, addr string, timeout time.Duration) *WorkerClient {
 		Timeout:   timeout,
 		Transport: sharedTransport,
 	}}
-}
-
-// Proto reports the negotiated wire version (1 until SetProto raises it).
-func (c *WorkerClient) Proto() int {
-	if c.proto == 0 {
-		return ProtoVersion
-	}
-	return c.proto
-}
-
-// SetProto records the wire version a worker committed to at configure
-// time, clamped to the range this coordinator speaks.
-func (c *WorkerClient) SetProto(v int) {
-	if v < ProtoVersion {
-		v = ProtoVersion
-	}
-	if v > MaxProtoVersion {
-		v = MaxProtoVersion
-	}
-	c.proto = v
 }
 
 func (c *WorkerClient) url(path string) string {
@@ -263,15 +202,15 @@ func (e *RejectError) Error() string {
 // Configure ships the plan inputs to the worker and verifies the plan
 // fingerprint matches the coordinator's. An explicit refusal surfaces
 // as *RejectError; anything else is a transport failure.
-func (c *WorkerClient) Configure(req ConfigureRequest) (ConfigureResponse, error) {
+func (c *WorkerClient) Configure(req ConfigureRequest) error {
 	var out ConfigureResponse
 	if err := c.postJSON("/v1/configure", req, &out); err != nil {
-		return out, err
+		return err
 	}
 	if !out.OK {
-		return out, &RejectError{Worker: c.ID, Reason: out.Error}
+		return &RejectError{Worker: c.ID, Reason: out.Error}
 	}
-	return out, nil
+	return nil
 }
 
 // Flush fetches the worker's quiesced end-of-run statistics.
@@ -304,76 +243,18 @@ func (c *WorkerClient) postJSON(path string, in, out any) error {
 	return nil
 }
 
-// runBufPool recycles v1 request buffers across stages; buffers grown
-// past runBufKeepCap are dropped instead of pinning shard-sized memory.
-var runBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const (
-	runBufGrowCap = 4 << 20
-	runBufKeepCap = 8 << 20
-)
-
 // RunStage ships one shard to the worker, applies plan ops
 // [h.FromOp, h.ToOp), and returns the surviving samples plus per-op
-// flows and wire accounting. Structural mismatches (sample count, flow
-// indexes) are reported as errors — a corrupt response is
-// indistinguishable from a broken worker and must be retried elsewhere.
-// Workers negotiated at ProtoV2 take the streaming columnar path.
+// flows and wire accounting. The shard streams out through an io.Pipe
+// as a columnar frame (no request-sized buffer), and the response is
+// either a full frame or — when h.Delta was honoured — a keep-mask delta
+// applied to the coordinator's retained samples. Structural mismatches
+// (sample count, flow indexes, mask coverage) are reported as errors: a
+// corrupt response is indistinguishable from a broken worker and must be
+// retried elsewhere. All validation happens before any retained sample
+// is touched, so a corrupt delta leaves d intact for the retry.
 func (c *WorkerClient) RunStage(h RunHeader, d *dataset.Dataset) (*dataset.Dataset, ResultHeader, WireStat, error) {
-	if c.Proto() >= ProtoV2 {
-		return c.runStageV2(h, d)
-	}
 	h.Samples = d.Len()
-	h.Delta, h.Compress = false, false
-	ws := WireStat{Proto: ProtoVersion}
-	buf := runBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= runBufKeepCap {
-			runBufPool.Put(buf)
-		}
-	}()
-	buf.Grow(min(int(d.TotalBytes())+512, runBufGrowCap))
-	if err := WriteFrame(buf, h, d); err != nil {
-		return nil, ResultHeader{}, ws, err
-	}
-	ws.Sent = int64(buf.Len())
-	ws.RawSent = ws.Sent
-	resp, err := c.http.Post(c.url("/v1/run"), "application/x-dj-frame", buf)
-	if err != nil {
-		return nil, ResultHeader{}, ws, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return nil, ResultHeader{}, ws, fmt.Errorf("dist: worker %d run: HTTP %d: %s",
-			c.ID, resp.StatusCode, truncate(body))
-	}
-	cr := &countReader{r: resp.Body}
-	var rh ResultHeader
-	out, err := ReadFrame(cr, &rh)
-	ws.Recv, ws.RawRecv = cr.n, cr.n
-	if err != nil {
-		return nil, ResultHeader{}, ws, fmt.Errorf("dist: worker %d shard %d: %w", c.ID, h.Shard, err)
-	}
-	if rh.Error != "" {
-		return nil, rh, ws, fmt.Errorf("dist: worker %d shard %d: %s", c.ID, h.Shard, rh.Error)
-	}
-	if err := validateResult(h, rh, out.Len()); err != nil {
-		return nil, rh, ws, fmt.Errorf("dist: worker %d: %w", c.ID, err)
-	}
-	return out, rh, ws, nil
-}
-
-// runStageV2 is the ProtoV2 exchange: the shard streams out through an
-// io.Pipe as a columnar frame (no request-sized buffer), and the
-// response is either a full frame or — when h.Delta was honoured — a
-// keep-mask delta applied to the coordinator's retained samples. All
-// validation happens before any retained sample is touched, so a
-// corrupt delta leaves d intact for the retry.
-func (c *WorkerClient) runStageV2(h RunHeader, d *dataset.Dataset) (*dataset.Dataset, ResultHeader, WireStat, error) {
-	h.Samples = d.Len()
-	ws := WireStat{Proto: ProtoV2}
 	pr, pw := io.Pipe()
 	var sentWire, sentRaw int64
 	done := make(chan struct{})
@@ -387,7 +268,7 @@ func (c *WorkerClient) runStageV2(h RunHeader, d *dataset.Dataset) (*dataset.Dat
 	// The transport finished with the body either way (success drains
 	// it, failure closes it), so the encoder goroutine has exited.
 	<-done
-	ws.Sent, ws.RawSent = sentWire, sentRaw
+	ws := WireStat{Sent: sentWire, RawSent: sentRaw}
 	if err != nil {
 		return nil, ResultHeader{}, ws, err
 	}

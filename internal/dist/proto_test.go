@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -15,61 +13,6 @@ func frameDataset(texts ...string) *dataset.Dataset {
 		samples[i] = sample.New(t)
 	}
 	return dataset.New(samples)
-}
-
-// TestFrameRoundTrip pins the frame codec: header line + JSONL payload
-// survives a write/read cycle byte-identically.
-func TestFrameRoundTrip(t *testing.T) {
-	d := frameDataset("alpha", "beta with spaces", `quotes "inside"`)
-	h := RunHeader{RunID: "r1", Shard: 4, FromOp: 1, ToOp: 3, Samples: d.Len()}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, h, d); err != nil {
-		t.Fatal(err)
-	}
-	var got RunHeader
-	out, err := ReadFrame(&buf, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Errorf("header round trip: got %+v want %+v", got, h)
-	}
-	if out.Len() != 3 || out.Samples[2].Text != `quotes "inside"` {
-		t.Errorf("payload round trip lost samples: %+v", out.Samples)
-	}
-
-	var a, b bytes.Buffer
-	if err := d.WriteJSONL(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("payload not byte-identical after round trip")
-	}
-}
-
-// TestFrameEmptyPayload covers a shard fully filtered away upstream.
-func TestFrameEmptyPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, ResultHeader{Shard: 1}, frameDataset()); err != nil {
-		t.Fatal(err)
-	}
-	var h ResultHeader
-	out, err := ReadFrame(&buf, &h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Shard != 1 || out.Len() != 0 {
-		t.Errorf("empty frame decoded wrong: %+v / %d samples", h, out.Len())
-	}
-}
-
-func TestFrameRejectsGarbageHeader(t *testing.T) {
-	if _, err := ReadFrame(strings.NewReader("not json\n"), &RunHeader{}); err == nil {
-		t.Error("garbage header accepted")
-	}
 }
 
 // TestValidateResult pins the corrupt-response detection the retry path

@@ -179,7 +179,7 @@ func (s *Scheduler) Stats() RunStats {
 type WorkerRunStat struct {
 	Worker       int    `json:"worker"`
 	Addr         string `json:"addr"`
-	Proto        int    `json:"proto,omitempty"` // negotiated wire version
+	Proto        int    `json:"proto,omitempty"` // wire protocol version
 	Stages       int    `json:"stages"`          // completed shard stages
 	Steals       int    `json:"steals"`          // stages this worker ran for another's shard
 	Retries      int    `json:"retries"`

@@ -21,39 +21,44 @@ import (
 
 var (
 	buildOnce sync.Once
-	builtBin  string
+	binDir    string
 	buildErr  error
 )
 
-// WorkerBin builds cmd/djworker once per test process and returns the
-// binary path. Tests that only need a fleet should use remote.Pool with
-// this as PoolOptions.WorkerBin; tests that need to reach into a
-// worker's lifecycle (external kill) should use StartWorker.
-func WorkerBin(t testing.TB) string {
+// binaries builds cmd/djworker and cmd/djprocess into one directory
+// once per test process, so that `djprocess -workers N` finds its
+// workers beside itself the way an installed pair does.
+func binaries(t testing.TB) string {
 	t.Helper()
 	buildOnce.Do(func() {
 		root, err := moduleRoot()
+		if err == nil {
+			binDir, err = os.MkdirTemp("", "disttest-bin-*")
+		}
 		if err != nil {
 			buildErr = err
 			return
 		}
-		dir, err := os.MkdirTemp("", "disttest-bin-*")
-		if err != nil {
-			buildErr = err
-			return
-		}
-		builtBin = filepath.Join(dir, "djworker")
-		cmd := exec.Command("go", "build", "-o", builtBin, "./cmd/djworker")
+		cmd := exec.Command("go", "build", "-o", binDir, "./cmd/djworker", "./cmd/djprocess")
 		cmd.Dir = root
 		if out, err := cmd.CombinedOutput(); err != nil {
-			buildErr = fmt.Errorf("building djworker: %v\n%s", err, out)
+			buildErr = fmt.Errorf("building djworker and djprocess: %v\n%s", err, out)
 		}
 	})
 	if buildErr != nil {
 		t.Fatal(buildErr)
 	}
-	return builtBin
+	return binDir
 }
+
+// WorkerBin returns the built djworker. Tests that only need a fleet
+// should use remote.Pool with this as PoolOptions.WorkerBin; tests that
+// need to reach into a worker's lifecycle (external kill) should use
+// StartWorker.
+func WorkerBin(t testing.TB) string { return filepath.Join(binaries(t), "djworker") }
+
+// ProcessBin returns the built djprocess.
+func ProcessBin(t testing.TB) string { return filepath.Join(binaries(t), "djprocess") }
 
 // moduleRoot walks up from the working directory to the go.mod.
 func moduleRoot() (string, error) {
@@ -83,23 +88,20 @@ type Worker struct {
 // StartWorker launches one djworker outside any pool — the hook for
 // tests that SIGKILL a fleet member from the outside (a failure no
 // in-process fault can model) and for dialed -worker-addrs fleets.
-// fault, when non-empty, is the worker's DJ_FAULT spec; extraArgs are
-// appended to the djworker command line (e.g. "-max-proto", "1" to
-// emulate an old v1-only worker). The worker is torn down at test
-// cleanup; Kill ends it sooner.
-func StartWorker(t testing.TB, id int, fault string, extraArgs ...string) *Worker {
+// fault, when non-empty, is the worker's DJ_FAULT spec. The worker is
+// torn down at test cleanup, or with the test process if that dies
+// first; Kill ends it sooner.
+func StartWorker(t testing.TB, id int, fault string) *Worker {
 	t.Helper()
-	bin := WorkerBin(t)
-	args := []string{"-id", fmt.Sprint(id), "-listen", "127.0.0.1:0",
-		"-work-dir", filepath.Join(t.TempDir(), fmt.Sprintf("w%d", id))}
-	args = append(args, extraArgs...)
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(WorkerBin(t), "-id", fmt.Sprint(id), "-listen", "127.0.0.1:0",
+		"-work-dir", filepath.Join(t.TempDir(), fmt.Sprintf("w%d", id)))
 	env := os.Environ()
 	if fault != "" {
 		env = append(env, "DJ_FAULT="+fault)
 	}
 	cmd.Env = env
 	cmd.Stderr = os.Stderr
+	remote.BindLifetime(cmd)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -137,9 +139,13 @@ func StartWorker(t testing.TB, id int, fault string, extraArgs ...string) *Worke
 
 // Kill ends the worker with SIGKILL — the external analogue of the
 // crash fault: no response, no cleanup, no exit hooks.
-func (w *Worker) Kill() {
-	if w.cmd.Process != nil {
-		w.cmd.Process.Signal(syscall.SIGKILL)
+func (w *Worker) Kill() { w.Stop(syscall.SIGKILL) }
+
+// Stop sends sig to the worker and waits for it to exit. Stopping an
+// already-stopped worker is a no-op.
+func (w *Worker) Stop(sig os.Signal) {
+	if w.cmd.Process != nil && w.cmd.ProcessState == nil {
+		w.cmd.Process.Signal(sig)
 		w.cmd.Wait()
 	}
 }

@@ -49,22 +49,17 @@ type PoolOptions struct {
 	// Env appends extra environment entries to spawned workers, after
 	// the DJ_FAULT scrubbing described in fault.go (test hook).
 	Env []string
-	// MaxProto caps the wire version the coordinator offers at
-	// configure time (0 means everything it speaks). Benchmarks and
-	// tests pin 1 here to measure/emulate a v1 exchange.
-	MaxProto int
 }
 
 // Pool is the coordinator's handle on the worker fleet: it owns the
 // subprocesses, the routing scheduler, and the journal events that
 // record fleet activity.
 type Pool struct {
-	sched    *dist.Scheduler
-	procs    []*exec.Cmd
-	timeout  time.Duration
-	runID    string
-	tele     *telemetry.Run
-	maxProto int
+	sched   *dist.Scheduler
+	procs   []*exec.Cmd
+	timeout time.Duration
+	runID   string
+	tele    *telemetry.Run
 
 	// Stage routing hints derived at configure time: per plan node,
 	// whether it is a pure filter (keep-mask delta eligible), and
@@ -80,7 +75,6 @@ type Pool struct {
 
 // wireAgg sums one worker's completed stage exchanges.
 type wireAgg struct {
-	proto       int
 	deltaStages int
 	sent        int64
 	recv        int64
@@ -95,11 +89,7 @@ func NewPool(opts PoolOptions) (*Pool, error) {
 	if timeout <= 0 {
 		timeout = DefaultStageTimeout
 	}
-	maxProto := opts.MaxProto
-	if maxProto <= 0 || maxProto > dist.MaxProtoVersion {
-		maxProto = dist.MaxProtoVersion
-	}
-	p := &Pool{timeout: timeout, maxProto: maxProto, wire: map[int]*wireAgg{}}
+	p := &Pool{timeout: timeout, wire: map[int]*wireAgg{}}
 
 	var clients []*dist.WorkerClient
 	if len(opts.Addrs) > 0 {
@@ -150,9 +140,11 @@ func siblingBinary(name string) string {
 }
 
 // spawn starts one djworker with an OS-assigned port and parses its
-// "ready <addr>" stdout line. The child environment is scrubbed of
-// DJ_FAULT; a per-worker DJ_FAULT_W<id> is forwarded as the child's
-// DJ_FAULT so chaos tests can aim a fault at one fleet member.
+// "ready <addr>" stdout line. The child is bound to this process's
+// lifetime (BindLifetime). Its environment is scrubbed of DJ_FAULT; a
+// per-worker DJ_FAULT_W<id> is forwarded as the child's DJ_FAULT so
+// chaos tests can aim a fault at one fleet member. On failure the child
+// is killed and reaped.
 func (p *Pool) spawn(bin string, id int, opts PoolOptions) (string, *exec.Cmd, error) {
 	workDir := filepath.Join(opts.WorkDir, "workers", fmt.Sprintf("w%d", id))
 	cmd := exec.Command(bin, "-id", fmt.Sprint(id), "-listen", "127.0.0.1:0", "-work-dir", workDir)
@@ -179,6 +171,7 @@ func (p *Pool) spawn(bin string, id int, opts PoolOptions) (string, *exec.Cmd, e
 	}
 	cmd.Env = env
 	cmd.Stderr = os.Stderr
+	BindLifetime(cmd)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return "", nil, err
@@ -201,17 +194,19 @@ func (p *Pool) spawn(bin string, id int, opts PoolOptions) (string, *exec.Cmd, e
 		for sc.Scan() {
 		}
 	}()
+	var why string
 	select {
 	case addr, ok := <-addrCh:
-		if !ok || addr == "" {
-			cmd.Process.Kill()
-			return "", cmd, fmt.Errorf("exited before printing ready line")
+		if ok && addr != "" {
+			return addr, cmd, nil
 		}
-		return addr, cmd, nil
+		why = "exited before printing ready line"
 	case <-time.After(readyTimeout):
-		cmd.Process.Kill()
-		return "", cmd, fmt.Errorf("no ready line within %s", readyTimeout)
+		why = fmt.Sprintf("no ready line within %s", readyTimeout)
 	}
+	cmd.Process.Kill()
+	cmd.Wait()
+	return "", nil, errors.New(why)
 }
 
 func waitHealthy(ctx context.Context, c *dist.WorkerClient) error {
@@ -239,10 +234,7 @@ func waitHealthy(ctx context.Context, c *dist.WorkerClient) error {
 func (p *Pool) Configure(r *config.Recipe, pl *plan.Plan, runID string, tele *telemetry.Run) error {
 	p.runID, p.tele = runID, tele
 	p.compress = r.DistCompress
-	p.filterOnly = make([]bool, len(pl.Nodes))
-	for i := range pl.Nodes {
-		p.filterOnly[i] = core.OpKind(pl.Nodes[i].Op) == "filter"
-	}
+	p.filterOnly = filterOnly(pl)
 	rawRecipe, err := json.Marshal(r)
 	if err != nil {
 		return err
@@ -254,13 +246,12 @@ func (p *Pool) Configure(r *config.Recipe, pl *plan.Plan, runID string, tele *te
 		}
 	}
 	req := dist.ConfigureRequest{
-		Proto: dist.ProtoVersion, MaxProto: p.maxProto, RunID: runID, Recipe: rawRecipe,
+		Proto: dist.ProtoVersion, RunID: runID, Recipe: rawRecipe,
 		Profiles: profiles, Fingerprint: PlanFingerprint(pl),
 	}
 	configured := 0
 	for _, c := range p.sched.Clients() {
-		resp, err := c.Configure(req)
-		if err != nil {
+		if err := c.Configure(req); err != nil {
 			var rej *dist.RejectError
 			if errors.As(err, &rej) {
 				return err
@@ -273,14 +264,11 @@ func (p *Pool) Configure(r *config.Recipe, pl *plan.Plan, runID string, tele *te
 			}
 			continue
 		}
-		// Old workers answer without a proto (0); SetProto clamps that
-		// to v1 and caps anything newer at what this coordinator speaks.
-		c.SetProto(resp.Proto)
 		configured++
 		if tele != nil {
 			tele.Emit(telemetry.Event{
 				Type: telemetry.EvWorkerStart, Parent: tele.RunSpan(),
-				Worker: c.ID, Addr: c.Addr, Proto: c.Proto(),
+				Worker: c.ID, Addr: c.Addr, Proto: dist.ProtoVersion,
 			})
 		}
 	}
@@ -299,7 +287,7 @@ func (p *Pool) Configure(r *config.Recipe, pl *plan.Plan, runID string, tele *te
 func (p *Pool) RunStage(shard, fromOp, toOp int, d *dataset.Dataset) (*dataset.Dataset, []dist.OpFlow, int, error) {
 	h := dist.RunHeader{
 		RunID: p.runID, Shard: shard, FromOp: fromOp, ToOp: toOp,
-		Delta: p.deltaEligible(fromOp, toOp), Compress: p.compress,
+		Delta: deltaEligible(p.filterOnly, fromOp, toOp), Compress: p.compress,
 	}
 	for {
 		route := p.sched.Pick(shard)
@@ -329,14 +317,24 @@ func (p *Pool) RunStage(shard, fromOp, toOp int, d *dataset.Dataset) (*dataset.D
 	}
 }
 
-// deltaEligible reports whether every plan node in [fromOp, toOp) is a
-// pure filter, making the stage a keep-mask delta candidate.
-func (p *Pool) deltaEligible(fromOp, toOp int) bool {
-	if fromOp < 0 || toOp > len(p.filterOnly) || fromOp >= toOp {
+// filterOnly marks each plan node that is a pure filter.
+func filterOnly(pl *plan.Plan) []bool {
+	out := make([]bool, len(pl.Nodes))
+	for i := range pl.Nodes {
+		out[i] = core.OpKind(pl.Nodes[i].Op) == "filter"
+	}
+	return out
+}
+
+// deltaEligible reports whether [fromOp, toOp) is a non-empty range of
+// pure filters, making the stage a keep-mask delta candidate. The pool
+// and each worker derive it independently from the same plan.
+func deltaEligible(filterOnly []bool, fromOp, toOp int) bool {
+	if fromOp < 0 || toOp > len(filterOnly) || fromOp >= toOp {
 		return false
 	}
 	for i := fromOp; i < toOp; i++ {
-		if !p.filterOnly[i] {
+		if !filterOnly[i] {
 			return false
 		}
 	}
@@ -352,7 +350,6 @@ func (p *Pool) observeWire(worker int, ws dist.WireStat) {
 		agg = &wireAgg{}
 		p.wire[worker] = agg
 	}
-	agg.proto = max(agg.proto, ws.Proto)
 	agg.sent += ws.Sent
 	agg.recv += ws.Recv
 	agg.rawSent += ws.RawSent
@@ -379,7 +376,7 @@ func (p *Pool) DistStats() *dist.RunStats {
 		if agg == nil {
 			continue
 		}
-		st.Workers[i].Proto = agg.proto
+		st.Workers[i].Proto = dist.ProtoVersion
 		st.Workers[i].DeltaStages = agg.deltaStages
 		st.Workers[i].BytesSent = agg.sent
 		st.Workers[i].BytesRecv = agg.recv
@@ -393,7 +390,7 @@ func (p *Pool) DistStats() *dist.RunStats {
 		if p.tele != nil && !p.wireFlushed {
 			p.tele.Emit(telemetry.Event{
 				Type: telemetry.EvWorkerWire, Worker: st.Workers[i].Worker,
-				Proto: agg.proto, DeltaStages: agg.deltaStages,
+				Proto: dist.ProtoVersion, DeltaStages: agg.deltaStages,
 				BytesSent: agg.sent, BytesRecv: agg.recv,
 				RawBytesSent: agg.rawSent, RawBytesRecv: agg.rawRecv,
 			})
@@ -442,9 +439,11 @@ func (p *Pool) FinishMembers() []dist.MemberFlow {
 	return out
 }
 
-// Close tears the fleet down: SIGTERM, a short grace period, then
-// SIGKILL. Dialed (non-spawned) workers are left running.
+// Close tears the fleet down: idle connections dropped (an open one
+// would hold a worker's graceful shutdown), SIGTERM, a short grace
+// period, then SIGKILL. Dialed (non-spawned) workers are left running.
 func (p *Pool) Close() {
+	dist.CloseIdleConnections()
 	for _, cmd := range p.procs {
 		if cmd.Process != nil {
 			cmd.Process.Signal(syscall.SIGTERM)

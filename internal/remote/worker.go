@@ -46,14 +46,15 @@ func PlanFingerprint(p *plan.Plan) string {
 
 // session is one configured run on a worker.
 type session struct {
-	runID  string
-	plan   *plan.Plan
-	runner *core.OpRunner
-	tele   *telemetry.Run
+	runID      string
+	plan       *plan.Plan
+	filterOnly []bool
+	runner     *core.OpRunner
+	tele       *telemetry.Run
 }
 
 // WorkerServer serves one djworker process: configure once per run,
-// then any number of concurrent /v1/run stage requests.
+// then any number of concurrent /v2/run stage requests.
 type WorkerServer struct {
 	// ID is the worker's 1-based fleet position (journal lane).
 	ID int
@@ -62,21 +63,10 @@ type WorkerServer struct {
 	WorkDir string
 	// Fault is the armed fault injection (zero = healthy).
 	Fault Fault
-	// MaxProto caps the wire version this worker negotiates (0 means
-	// everything it speaks). Capping at 1 emulates an old fleet member:
-	// /v2/run is not even registered.
-	MaxProto int
 
 	mu   sync.Mutex
-	runs int // run requests served (both versions), for the fault trigger
+	runs int // stage requests served, for the fault trigger
 	sess *session
-}
-
-func (w *WorkerServer) maxProto() int {
-	if w.MaxProto <= 0 || w.MaxProto > dist.MaxProtoVersion {
-		return dist.MaxProtoVersion
-	}
-	return w.MaxProto
 }
 
 // Handler returns the worker's HTTP mux.
@@ -84,11 +74,8 @@ func (w *WorkerServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/healthz", w.handleHealthz)
 	mux.HandleFunc("/v1/configure", w.handleConfigure)
-	mux.HandleFunc("/v1/run", w.handleRun)
+	mux.HandleFunc("/v2/run", w.handleStage)
 	mux.HandleFunc("/v1/flush", w.handleFlush)
-	if w.maxProto() >= dist.ProtoV2 {
-		mux.HandleFunc("/v2/run", w.handleRunV2)
-	}
 	return mux
 }
 
@@ -140,7 +127,10 @@ func (w *WorkerServer) configure(creq dist.ConfigureRequest) dist.ConfigureRespo
 	}
 	core.ConfigureSpill(p, &r)
 
-	sess := &session{runID: creq.RunID, plan: p, runner: core.NewOpRunner(p.Built(), r.Process, nil)}
+	sess := &session{
+		runID: creq.RunID, plan: p, filterOnly: filterOnly(p),
+		runner: core.NewOpRunner(p.Built(), r.Process, nil),
+	}
 	if r.Journal {
 		tele, err := telemetry.NewRun(telemetry.RunOptions{
 			JournalDir: filepath.Join(w.WorkDir, "journal"),
@@ -161,42 +151,7 @@ func (w *WorkerServer) configure(creq dist.ConfigureRequest) dist.ConfigureRespo
 		old.tele.End("ok", 0, 0, nil, nil)
 		old.tele.Close()
 	}
-	// Negotiate the wire version: the highest both sides speak. Old
-	// coordinators omit MaxProto (0), which pins the run to v1.
-	neg := min(creq.MaxProto, w.maxProto())
-	if neg < dist.ProtoVersion {
-		neg = dist.ProtoVersion
-	}
-	return dist.ConfigureResponse{OK: true, Proto: neg, Fingerprint: fp, PlanOps: len(p.Nodes)}
-}
-
-// faultGate arms the shared run counter and fires the injected fault
-// when this request is the trigger. It reports true when the fault
-// consumed the request (corrupt mode already wrote garbage). Both run
-// endpoints share one counter, so DJ_FAULT specs count stages
-// regardless of the wire version in play.
-func (w *WorkerServer) faultGate(rw http.ResponseWriter) (sess *session, handled bool) {
-	w.mu.Lock()
-	idx := w.runs
-	w.runs++
-	sess = w.sess
-	w.mu.Unlock()
-
-	if w.Fault.Active() && idx == w.Fault.After {
-		switch w.Fault.Mode {
-		case "crash":
-			// A kill -9 mid-stage: no response, no cleanup, no exit hooks.
-			os.Exit(137)
-		case "hang":
-			// Never respond; the coordinator's client timeout converts
-			// this into a failed attempt.
-			select {}
-		case "corrupt":
-			rw.Write([]byte("{\"shard\":0,\"samples\":999}\nthis is not a frame\n"))
-			return sess, true
-		}
-	}
-	return sess, false
+	return dist.ConfigureResponse{OK: true}
 }
 
 // runOps validates the requested op range and applies it to d. It
@@ -244,41 +199,35 @@ func (w *WorkerServer) runOps(sess *session, h dist.RunHeader, d *dataset.Datase
 	return d, flows, ""
 }
 
-func (w *WorkerServer) handleRun(rw http.ResponseWriter, req *http.Request) {
-	sess, handled := w.faultGate(rw)
-	if handled {
-		return
-	}
-	var h dist.RunHeader
-	d, err := dist.ReadFrame(req.Body, &h)
-	if err != nil {
-		dist.WriteFrame(rw, dist.ResultHeader{Shard: h.Shard, Error: fmt.Sprintf("decode: %v", err)}, nil)
-		return
-	}
-	out, flows, errmsg := w.runOps(sess, h, d)
-	if errmsg != "" {
-		dist.WriteFrame(rw, dist.ResultHeader{Shard: h.Shard, Error: errmsg}, nil)
-		return
-	}
-	// A write error means the response is already partially on the
-	// wire; nothing to salvage.
-	dist.WriteFrame(rw, dist.ResultHeader{Shard: h.Shard, Samples: out.Len(), Flows: flows}, out)
-}
-
-// handleRunV2 is the protocol-v2 stage endpoint: the request arrives as
-// a streaming columnar frame, and when the coordinator asked for a
-// delta and every op in range is a pure filter, the response is just
-// the keep bitmap plus the kept samples' stats columns. Error responses
-// stay header-line-only, exactly like v1.
-func (w *WorkerServer) handleRunV2(rw http.ResponseWriter, req *http.Request) {
-	sess, handled := w.faultGate(rw)
-	if handled {
-		return
+// handleStage is the stage endpoint: the request arrives as a
+// streaming columnar frame, and when the coordinator asked for a delta
+// and every op in range is a pure filter, the response is just the keep
+// bitmap plus the kept samples' stats columns. Error responses are a
+// header line alone. An armed Fault fires on the After-th request.
+func (w *WorkerServer) handleStage(rw http.ResponseWriter, req *http.Request) {
+	w.mu.Lock()
+	idx := w.runs
+	w.runs++
+	sess := w.sess
+	w.mu.Unlock()
+	if w.Fault.Active() && idx == w.Fault.After {
+		switch w.Fault.Mode {
+		case "crash":
+			// A kill -9 mid-stage: no response, no cleanup, no exit hooks.
+			os.Exit(137)
+		case "hang":
+			// Never respond; the coordinator's client timeout converts
+			// this into a failed attempt.
+			select {}
+		case "corrupt":
+			rw.Write([]byte("{\"shard\":0,\"samples\":999}\nthis is not a frame\n"))
+			return
+		}
 	}
 	var h dist.RunHeader
 	fr := dist.NewFrame2Reader(req.Body)
 	fail := func(format string, args ...any) {
-		dist.WriteFrame(rw, dist.ResultHeader{Shard: h.Shard, Error: fmt.Sprintf(format, args...)}, nil)
+		dist.WriteHeaderLine(rw, dist.ResultHeader{Shard: h.Shard, Error: fmt.Sprintf(format, args...)})
 	}
 	if err := fr.Header(&h); err != nil {
 		fail("decode: %v", err)
@@ -293,30 +242,17 @@ func (w *WorkerServer) handleRunV2(rw http.ResponseWriter, req *http.Request) {
 		fail("delta frames are response-only")
 		return
 	}
-	d := f.Data
-	in := d.Samples
-
-	// The worker re-derives delta eligibility instead of trusting the
-	// header: the fingerprint handshake guarantees both plans agree, so
-	// a disagreement here simply degrades to a full response.
-	delta := false
-	if nodes := deltaNodes(sess); h.Delta && h.FromOp >= 0 && h.ToOp <= len(nodes) {
-		delta = true
-		for i := h.FromOp; i < h.ToOp; i++ {
-			if core.OpKind(nodes[i].Op) != "filter" {
-				delta = false
-				break
-			}
-		}
-	}
-
-	out, flows, errmsg := w.runOps(sess, h, d)
+	in := f.Data.Samples
+	out, flows, errmsg := w.runOps(sess, h, f.Data)
 	if errmsg != "" {
 		fail("%s", errmsg)
 		return
 	}
 	rh := dist.ResultHeader{Shard: h.Shard, Samples: out.Len(), Flows: flows}
-	if delta {
+	// The worker re-derives delta eligibility instead of trusting the
+	// header: the fingerprint handshake guarantees both plans agree, so
+	// a disagreement here simply degrades to a full response.
+	if h.Delta && deltaEligible(sess.filterOnly, h.FromOp, h.ToOp) {
 		if mask, ok := dist.BuildKeepMask(in, out.Samples); ok {
 			rh.Delta = true
 			dist.WriteDeltaFrame2(rw, rh, mask, len(in), out.Samples, h.Compress)
@@ -326,15 +262,6 @@ func (w *WorkerServer) handleRunV2(rw http.ResponseWriter, req *http.Request) {
 		// (an op rewrote them); ship the full shard instead.
 	}
 	dist.WriteFrame2(rw, rh, out, h.Compress)
-}
-
-// deltaNodes returns the session's plan nodes (nil-safe for the
-// eligibility scan; runOps re-validates the range and session).
-func deltaNodes(sess *session) []plan.PhysicalOp {
-	if sess == nil || sess.plan == nil {
-		return nil
-	}
-	return sess.plan.Nodes
 }
 
 // handleFlush reports the worker's quiesced fused-member attribution.

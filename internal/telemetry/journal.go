@@ -48,7 +48,7 @@ const (
 	EvShardSteal  = "shard_steal"
 
 	// worker_wire (schema v3) is one worker's end-of-run transport
-	// tally: negotiated proto, bytes on the wire in each direction,
+	// tally: protocol version, bytes on the wire in each direction,
 	// their uncompressed equivalents, and how many stages were answered
 	// with a keep-mask delta.
 	EvWorkerWire = "worker_wire"
@@ -111,7 +111,7 @@ type Event struct {
 	Worker int `json:"worker,omitempty"`
 	// Addr is the worker's listen address (worker_start).
 	Addr string `json:"addr,omitempty"`
-	// Proto is the negotiated wire version (worker_start, worker_wire).
+	// Proto is the wire protocol version (worker_start, worker_wire).
 	Proto int `json:"proto,omitempty"`
 
 	// Wire-transport accounting (worker_wire, schema v3): bytes put on

@@ -53,7 +53,7 @@ type WorkerTimeline struct {
 	Disconnected bool // at least one retry marked it suspect
 
 	// Wire-transport accounting (worker_wire events, schema v3).
-	Proto        int   // negotiated wire version (0 = unrecorded)
+	Proto        int   // wire protocol version (0 = unrecorded)
 	DeltaStages  int   // stages answered with a keep-mask delta
 	BytesSent    int64 // on-wire bytes coordinator -> worker
 	BytesRecv    int64 // on-wire bytes worker -> coordinator
