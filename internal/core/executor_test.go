@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/config"
@@ -270,16 +271,16 @@ func TestExecutorCachePrefixReuseAfterTailEdit(t *testing.T) {
 // failOnceArmed controls the fail_once_filter below: while true, the next
 // ComputeStats call fails and disarms. This simulates a transient crash
 // (out-of-memory, time limit) between two runs of the *same* recipe, the
-// scenario checkpoints exist for.
-var failOnceArmed bool
+// scenario checkpoints exist for. ComputeStats runs on the worker pool, so
+// the flag is atomic and disarmed by CompareAndSwap: exactly one call fails.
+var failOnceArmed atomic.Bool
 
 type failOnceFilter struct{}
 
 func (failOnceFilter) Name() string       { return "fail_once_filter" }
 func (failOnceFilter) StatKeys() []string { return []string{"fail_stat"} }
 func (failOnceFilter) ComputeStats(s *sample.Sample) error {
-	if failOnceArmed {
-		failOnceArmed = false
+	if failOnceArmed.CompareAndSwap(true, false) {
 		return errors.New("injected transient failure")
 	}
 	s.SetStat("fail_stat", 1)
@@ -311,7 +312,7 @@ process:
 		"eta theta iota", "kappa lambda mu",
 		"nu xi omicron", "pi rho sigma",
 	})
-	failOnceArmed = true
+	failOnceArmed.Store(true)
 	e, _ := NewExecutor(r)
 	_, _, err := e.Run(ds.Clone())
 	if err == nil || !strings.Contains(err.Error(), "injected transient failure") {
@@ -355,7 +356,7 @@ process:
 `
 	r := testRecipe(t, yaml)
 	ds := dataset.FromTexts([]string{"one two three", "four five six"})
-	failOnceArmed = true
+	failOnceArmed.Store(true)
 	e, _ := NewExecutor(r)
 	if _, _, err := e.Run(ds.Clone()); err == nil {
 		t.Fatal("expected failure")

@@ -2,7 +2,7 @@ package filter
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/ops"
@@ -119,33 +119,54 @@ func (f *perplexityFilter) Keep(s *sample.Sample) bool {
 	return v <= f.maxPPL
 }
 
+// pplScratch holds fallbackPerplexity's per-call buffers.
+type pplScratch struct {
+	freq   map[string]int
+	counts []int
+}
+
+// pplMaxPooledWords bounds the distinct-word count whose map goes back to
+// the pool: clearing a map costs its capacity, so one huge document must
+// not tax every later one.
+const pplMaxPooledWords = 1 << 12
+
+var pplScratchPool = sync.Pool{New: func() any { return &pplScratch{freq: map[string]int{}} }}
+
 // fallbackPerplexity is used when no LM has been installed: an entropy
 // proxy over the word distribution (degenerate repetitive text scores low,
 // random noise scores high) scaled into a KenLM-like range.
 //
-// The count values are summed in sorted order: floating-point addition is
-// not associative, and iterating the map directly would make the result
-// depend on Go's randomized map order — breaking the guarantee that
-// pipeline output is independent of worker count.
+// The entropy terms are summed in ascending-count order: floating-point
+// addition is not associative, and iterating the map directly would make
+// the result depend on Go's randomized map order — breaking the guarantee
+// that pipeline output is independent of worker count. The map and the
+// count slice are pooled, so a call does not allocate.
 func fallbackPerplexity(words []string) float64 {
 	if len(words) == 0 {
 		return 0
 	}
-	counts := make(map[string]int, len(words))
+	sc := pplScratchPool.Get().(*pplScratch)
 	for _, w := range words {
-		counts[w]++
+		sc.freq[w]++
 	}
-	vals := make([]int, 0, len(counts))
-	for _, c := range counts {
-		vals = append(vals, c)
+	counts := sc.counts[:0]
+	for _, c := range sc.freq {
+		counts = append(counts, c)
 	}
-	sort.Ints(vals)
+	if len(sc.freq) > pplMaxPooledWords {
+		sc.freq = map[string]int{}
+	} else {
+		clear(sc.freq)
+	}
+	slices.Sort(counts)
 	var h float64
 	n := float64(len(words))
-	for _, c := range vals {
+	for _, c := range counts {
 		p := float64(c) / n
 		h -= p * math.Log2(p)
 	}
+	sc.counts = counts
+	pplScratchPool.Put(sc)
 	return math.Pow(2, h) * 40
 }
 

@@ -2,17 +2,32 @@ package text
 
 import (
 	"math"
-	"sort"
-	"strings"
+	"slices"
+	"sync"
+	"unicode"
 )
 
 // LangID is a character-trigram language identifier, the stand-in for the
 // fasttext model used by the paper's language_id_score_filter. Profiles
 // are built from embedded seed text; Classify returns the best language
 // and a confidence score in [0, 1].
+//
+// The profiles are frozen at construction into one open-addressed table
+// keyed by packed trigram (see packTrigram), holding every language's
+// count for that trigram, plus each profile's precomputed norm. Classify
+// counts the document's trigrams into a pooled table in one pass over the
+// text and scores all languages in one pass over its distinct trigrams:
+// per document it does arithmetic and table lookups only.
 type LangID struct {
-	profiles map[string]map[string]float64
+	langs   []string   // sorted language codes; l indexes every per-language slice
+	profile *gramTable // union of all profiles' trigrams
+	weights []float64  // weights[slot*len(langs)+l]: count of the trigram in slot for langs[l]
+	sqrtNB  []float64  // math.Sqrt of each profile's sum of squared counts
 }
+
+// maxLangs bounds the language count so Classify's per-language
+// accumulators live in fixed-size arrays on the stack.
+const maxLangs = 8
 
 // seedTexts are small, representative snippets per language. Trigram
 // profiles extracted from them separate the synthetic corpora cleanly;
@@ -53,68 +68,119 @@ importante para todos estos sistemas y sus usuarios en todas partes`,
 其用户都非常重要历史科学政府信息知识教育研究发展数据处理质量多样性`,
 }
 
-// NewLangID builds the identifier from the embedded seed profiles.
+// NewLangID builds the identifier from the embedded seed profiles. The
+// seeds are lowercase, so folding them like documents leaves them as
+// written.
 func NewLangID() *LangID {
-	l := &LangID{profiles: make(map[string]map[string]float64, len(seedTexts))}
-	for lang, seed := range seedTexts {
-		l.profiles[lang] = trigramProfile(seed)
+	langs := make([]string, 0, len(seedTexts))
+	for lang := range seedTexts {
+		langs = append(langs, lang)
 	}
-	return l
+	if len(langs) > maxLangs {
+		panic("text: more seed languages than maxLangs")
+	}
+	slices.Sort(langs)
+	n := len(langs)
+
+	per := make([]*gramTable, n)
+	union := newGramTable()
+	for l, lang := range langs {
+		per[l] = newGramTable()
+		per[l].addText(seedTexts[lang])
+		for _, i := range per[l].used {
+			union.add(per[l].keys[i])
+		}
+	}
+	id := &LangID{
+		langs:   langs,
+		profile: union,
+		weights: make([]float64, len(union.keys)*n),
+		sqrtNB:  make([]float64, n),
+	}
+	for l, t := range per {
+		var nb float64
+		for _, i := range t.used {
+			c := float64(t.counts[i])
+			slot, _ := union.find(t.keys[i])
+			id.weights[slot*n+l] = c
+			nb += c * c
+		}
+		id.sqrtNB[l] = math.Sqrt(nb)
+	}
+	return id
 }
 
 // Languages returns the supported language codes, sorted.
-func (l *LangID) Languages() []string {
-	out := make([]string, 0, len(l.profiles))
-	for k := range l.profiles {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func (l *LangID) Languages() []string { return slices.Clone(l.langs) }
+
+var gramTablePool = sync.Pool{New: func() any { return newGramTable() }}
 
 // Classify returns the most likely language for s and a confidence score
 // in [0, 1]. Empty or too-short input yields ("", 0).
+//
+// The score is the cosine similarity of trigram count vectors. Every term
+// of the dot products and of the document norm is a product of integer
+// counts, so each sum is an integer, bounded by the squared rune count and
+// so below 2^53 for any document under 94M runes: exact in float64 in any
+// summation order. Only the confidence total sums non-integer
+// similarities; it is summed in a fixed order: (similarity desc, code asc).
 func (l *LangID) Classify(s string) (lang string, score float64) {
 	// Fast, reliable path: a high share of CJK letters is decisive.
 	if r := CJKRatio(s); r > 0.5 {
 		return "zh", r
 	}
-	p := trigramProfile(strings.ToLower(s))
-	if len(p) == 0 {
+	t := gramTablePool.Get().(*gramTable)
+	t.addText(s)
+	n := len(l.langs)
+	var na float64
+	var dot [maxLangs]float64
+	for _, i := range t.used {
+		c := float64(t.counts[i])
+		na += c * c
+		if slot, ok := l.profile.find(t.keys[i]); ok {
+			for k, p := range l.weights[slot*n : slot*n+n] {
+				dot[k] += c * p
+			}
+		}
+	}
+	distinct := len(t.used)
+	t.reset()
+	gramTablePool.Put(t)
+	if distinct == 0 {
 		return "", 0
 	}
-	type cand struct {
-		lang string
-		sim  float64
-	}
-	cands := make([]cand, 0, len(l.profiles))
-	for lg, prof := range l.profiles {
-		cands = append(cands, cand{lg, cosine(p, prof)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].sim != cands[j].sim {
-			return cands[i].sim > cands[j].sim
+
+	// Rank candidates by (similarity desc, code asc); langs is sorted, so
+	// an insertion sort over indices that only moves past strictly lower
+	// similarities keeps ties in code order.
+	var sims [maxLangs]float64
+	var order [maxLangs]int
+	for k := 0; k < n; k++ {
+		sims[k] = dot[k] / (math.Sqrt(na) * l.sqrtNB[k])
+		j := k
+		for ; j > 0 && sims[k] > sims[order[j-1]]; j-- {
+			order[j] = order[j-1]
 		}
-		return cands[i].lang < cands[j].lang
-	})
-	best := cands[0]
-	if best.sim <= 0 {
+		order[j] = k
+	}
+	best := order[0]
+	if sims[best] <= 0 {
 		return "", 0
 	}
 	// Confidence: the winner's share of total similarity mass, sharpened;
 	// short texts with ambiguous trigrams land near 1/len(languages).
 	total := 0.0
-	for _, c := range cands {
-		total += c.sim
+	for _, k := range order[:n] {
+		total += sims[k]
 	}
-	conf := best.sim / total
+	conf := sims[best] / total
 	// Rescale from [1/n, 1] to [0, 1].
-	n := float64(len(cands))
-	conf = (conf - 1/n) / (1 - 1/n)
+	fn := float64(n)
+	conf = (conf - 1/fn) / (1 - 1/fn)
 	if conf < 0 {
 		conf = 0
 	}
-	return best.lang, math.Min(1, math.Sqrt(conf)*1.6)
+	return l.langs[best], math.Min(1, math.Sqrt(conf)*1.6)
 }
 
 // Score returns the confidence that s is in language want.
@@ -126,48 +192,108 @@ func (l *LangID) Score(s, want string) float64 {
 	return score
 }
 
-func trigramProfile(s string) map[string]float64 {
-	grams := CharNGrams(s, 3)
-	if len(grams) == 0 {
-		return nil
-	}
-	p := make(map[string]float64, len(grams))
-	for _, g := range grams {
-		if strings.TrimSpace(g) == "" {
-			continue
-		}
-		p[g]++
-	}
-	return p
+// packTrigram packs three runes, 21 bits each (the Unicode range), into
+// one key. The top bit marks the key occupied so 0 can mean an empty slot.
+func packTrigram(a, b, c rune) uint64 {
+	return 1<<63 | uint64(a)<<42 | uint64(b)<<21 | uint64(c)
 }
 
-// cosine sums in sorted key order so the score does not depend on Go's
-// randomized map iteration (float addition is not associative; a
-// nondeterministic sum would make filter verdicts nondeterministic).
-func cosine(a, b map[string]float64) float64 {
-	keysA := make([]string, 0, len(a))
-	for k := range a {
-		keysA = append(keysA, k)
+// gramTable counts packed trigrams in an open-addressed, linearly probed
+// table. used lists the occupied slots in insertion order, so iteration
+// and reset cost O(distinct trigrams), not O(capacity).
+type gramTable struct {
+	keys   []uint64 // packed trigram; 0 = empty
+	counts []uint32
+	used   []int32
+	shift  uint // 64 - log2(len(keys))
+}
+
+const gramTableBits = 10
+
+func newGramTable() *gramTable {
+	return &gramTable{
+		keys:   make([]uint64, 1<<gramTableBits),
+		counts: make([]uint32, 1<<gramTableBits),
+		shift:  64 - gramTableBits,
 	}
-	sort.Strings(keysA)
-	var dot, na, nb float64
-	for _, k := range keysA {
-		av := a[k]
-		na += av * av
-		if bv, ok := b[k]; ok {
-			dot += av * bv
+}
+
+// home is the key's first probe slot (Fibonacci hashing).
+func (t *gramTable) home(k uint64) int { return int((k * 0x9e3779b97f4a7c15) >> t.shift) }
+
+// addText counts every 3-rune window of s lowered rune by rune, skipping
+// windows of three unicode.IsSpace runes (exactly the windows
+// strings.TrimSpace empties). unicode.ToLower per rune yields the same
+// runes as ranging over strings.ToLower(s); invalid bytes become U+FFFD
+// either way.
+func (t *gramTable) addText(s string) {
+	var r0, r1 rune
+	var sp0, sp1 bool
+	seen := 0
+	for _, r := range s {
+		r = unicode.ToLower(r)
+		sp := unicode.IsSpace(r)
+		if seen >= 2 && !(sp0 && sp1 && sp) {
+			t.add(packTrigram(r0, r1, r))
+		}
+		r0, r1, sp0, sp1 = r1, r, sp1, sp
+		seen++
+	}
+}
+
+func (t *gramTable) add(k uint64) {
+	mask := len(t.keys) - 1
+	for i := t.home(k); ; i = (i + 1) & mask {
+		switch t.keys[i] {
+		case k:
+			t.counts[i]++
+			return
+		case 0:
+			t.keys[i] = k
+			t.counts[i] = 1
+			t.used = append(t.used, int32(i))
+			if 2*len(t.used) > len(t.keys) {
+				t.grow()
+			}
+			return
 		}
 	}
-	keysB := make([]string, 0, len(b))
-	for k := range b {
-		keysB = append(keysB, k)
+}
+
+func (t *gramTable) find(k uint64) (int, bool) {
+	mask := len(t.keys) - 1
+	for i := t.home(k); ; i = (i + 1) & mask {
+		switch t.keys[i] {
+		case k:
+			return i, true
+		case 0:
+			return 0, false
+		}
 	}
-	sort.Strings(keysB)
-	for _, k := range keysB {
-		nb += b[k] * b[k]
+}
+
+// grow doubles the capacity and reinserts in the old insertion order.
+func (t *gramTable) grow() {
+	keys, counts, used := t.keys, t.counts, t.used
+	t.keys = make([]uint64, 2*len(keys))
+	t.counts = make([]uint32, 2*len(keys))
+	t.used = make([]int32, 0, cap(used))
+	t.shift--
+	mask := len(t.keys) - 1
+	for _, old := range used {
+		i := t.home(keys[old])
+		for t.keys[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.keys[i] = keys[old]
+		t.counts[i] = counts[old]
+		t.used = append(t.used, int32(i))
 	}
-	if na == 0 || nb == 0 {
-		return 0
+}
+
+func (t *gramTable) reset() {
+	for _, i := range t.used {
+		t.keys[i] = 0
 	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+	t.used = t.used[:0]
 }
