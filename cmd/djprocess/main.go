@@ -74,7 +74,6 @@ func main() {
 		maxWorkers  = flag.Int("max-workers", 0, "cap on the adaptive worker pool (0 = max of -np and all cores)")
 		targetMemMB = flag.Int("target-mem-mb", 0, "memory target in MB: bounds dedup index memory via disk spilling (both backends), and with -adaptive also the text bytes resident across in-flight shards (0 = unbounded)")
 		noSpill     = flag.Bool("no-dedup-spill", false, "keep dedup indexes fully in memory even when -target-mem-mb is set")
-		indexParts  = flag.Int("index-partitions", 0, "partitions of the streaming shared signature index (0 = auto from worker count; rounded up to a power of two; output is identical at any setting)")
 		showPlan    = flag.Bool("plan", false, "print the fused execution plan before running")
 		explain     = flag.Bool("explain", false, "print the optimized plan — per-op predicted cost, selectivity, capability class, and per-pass provenance — and exit without running")
 		probe       = flag.Bool("probe", false, "print before/after data probes (analyzer; batch mode only)")
@@ -158,9 +157,6 @@ func main() {
 	}
 	if *noSpill {
 		recipe.DedupSpill = false
-	}
-	if *indexParts != 0 {
-		recipe.IndexPartitions = *indexParts
 	}
 	if *distComp {
 		recipe.DistCompress = true

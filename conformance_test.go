@@ -583,12 +583,11 @@ func jitterDelay(seed int64) func(phase, shard int) time.Duration {
 
 // TestJitteredShardConformance scrambles shard completion order with
 // seeded random delays and holds the streaming export byte-identical to
-// the batch reference. This is the adversarial leg for the partitioned
-// signature index: shards now claim partitions out of order and the
-// in-order resolution is reconstructed per partition, so any ordering
-// assumption hiding in the claim/deposit protocol shows up here as a
-// flipped keep set. Covers spill on/off, serial and partitioned
-// configurations, and a distributed fleet.
+// the batch reference. This is the adversarial leg for the ordered
+// signature index: shards reach it out of order and must still apply in
+// stream order, so any ordering assumption hiding in the turn protocol
+// shows up here as a flipped keep set. Covers spill off/on under three
+// jitter seeds each, and a distributed fleet.
 func TestJitteredShardConformance(t *testing.T) {
 	d := corpus.Web(corpus.Options{Docs: 500, Seed: 20260808})
 	input := filepath.Join(t.TempDir(), "input.jsonl")
@@ -628,58 +627,53 @@ func TestJitteredShardConformance(t *testing.T) {
 	ref := readAll(t, batchPath)
 
 	for _, mode := range []struct {
-		name       string
-		targetMB   int
-		partitions int
-		seed       int64
+		name     string
+		targetMB int
 	}{
-		{"inmem-serial", 0, 1, 1},
-		{"inmem-partitioned", 0, 8, 2},
-		{"inmem-auto", 0, 0, 3},
-		{"spill-serial", 1, 1, 4},
-		{"spill-partitioned", 1, 8, 5},
+		{"inmem", 0},
+		{"spill", 1},
 	} {
-		t.Run(mode.name, func(t *testing.T) {
-			r := *recipe
-			r.WorkDir = t.TempDir()
-			r.TargetMemMB = mode.targetMB
-			r.IndexPartitions = mode.partitions
-			eng, err := stream.New(&r, stream.Options{
-				ShardSize:      23,
-				MaxWorkers:     4,
-				TargetMemBytes: 64 << 20,
-				Generation:     2,
-				ShardDelay:     jitterDelay(mode.seed),
+		for _, seed := range []int64{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/seed=%d", mode.name, seed), func(t *testing.T) {
+				r := *recipe
+				r.WorkDir = t.TempDir()
+				r.TargetMemMB = mode.targetMB
+				eng, err := stream.New(&r, stream.Options{
+					ShardSize:      23,
+					MaxWorkers:     4,
+					TargetMemBytes: 64 << 20,
+					Generation:     2,
+					ShardDelay:     jitterDelay(seed),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				src, err := stream.OpenSource(input, 23)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink, err := stream.NewShardedJSONLSink(filepath.Join(t.TempDir(), "stream"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Run(src, sink); err != nil {
+					t.Fatal(err)
+				}
+				if got := readAll(t, sink.Paths()...); string(got) != string(ref) {
+					t.Fatalf("jittered export diverges from batch: %d vs %d bytes (target=%dMB seed=%d)",
+						len(got), len(ref), mode.targetMB, seed)
+				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			src, err := stream.OpenSource(input, 23)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sink, err := stream.NewShardedJSONLSink(filepath.Join(t.TempDir(), "stream"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := eng.Run(src, sink); err != nil {
-				t.Fatal(err)
-			}
-			if got := readAll(t, sink.Paths()...); string(got) != string(ref) {
-				t.Fatalf("jittered export diverges from batch: %d vs %d bytes (target=%dMB partitions=%d seed=%d)",
-					len(got), len(ref), mode.targetMB, mode.partitions, mode.seed)
-			}
-		})
+		}
 	}
 
 	// Distributed fleet under the same jitter: shard-local stages run on
-	// real djworker subprocesses, the partitioned index absorbs their
+	// real djworker subprocesses, the ordered index absorbs their
 	// out-of-order returns coordinator-side.
 	if !testing.Short() {
 		t.Run("dist-jitter", func(t *testing.T) {
 			r := *recipe
 			r.WorkDir = t.TempDir()
-			r.IndexPartitions = 4
 			got, _ := runDistStream(t, &r, input, false, 3, 23, jitterDelay(6))
 			if string(got) != string(ref) {
 				t.Fatalf("jittered distributed export diverges from batch: %d vs %d bytes",

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ops"
@@ -324,5 +325,36 @@ func TestApplyEnvAdaptive(t *testing.T) {
 	r.ApplyEnv(func(k string) string { return env[k] })
 	if !r.Adaptive || r.MaxWorkers != 7 || r.TargetMemMB != 128 {
 		t.Fatalf("env overrides not applied: %+v", r)
+	}
+}
+
+// TestRecipeScalarsStrict: a bool key takes only true/false and an int key
+// only an integer; anything else is an error naming the key and the value
+// rather than a silent coercion to false or 0.
+func TestRecipeScalarsStrict(t *testing.T) {
+	for _, c := range []struct{ yaml, key, value string }{
+		{"use_cache: yes\n", "use_cache", "yes"},
+		{"use_cache: TRUE\n", "use_cache", "TRUE"},
+		{"op_fusion: 1\n", "op_fusion", "1"},
+		{"np: \"4\"\n", "np", "4"},
+		{"np: 2.5\n", "np", "2.5"},
+		{"target_mem_mb: lots\n", "target_mem_mb", "lots"},
+	} {
+		_, err := ParseRecipe(c.yaml)
+		if err == nil {
+			t.Errorf("%q: accepted, want an error", c.yaml)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.key) || !strings.Contains(msg, c.value) {
+			t.Errorf("%q: error %q does not name key %s and value %s", c.yaml, msg, c.key, c.value)
+		}
+	}
+	// Well-formed scalars still parse, including an integral JSON number.
+	r, err := FromMap(map[string]any{"np": 4.0, "use_cache": false, "target_mem_mb": 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NP != 4 || r.UseCache || r.TargetMemMB != 64 {
+		t.Fatalf("well-formed scalars misread: %+v", r)
 	}
 }

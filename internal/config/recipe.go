@@ -3,6 +3,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -72,13 +73,6 @@ type Recipe struct {
 	// bounded disk runs when TargetMemMB is set. On by default; with no
 	// TargetMemMB it has no effect.
 	DedupSpill bool
-	// IndexPartitions sets the partition count of the streaming engine's
-	// shared signature indexes (recipe key index_partitions, env
-	// DJ_INDEX_PARTITIONS, flag -index-partitions). 0 = auto: the engine
-	// derives it from its worker count (GOMAXPROCS-bound) at run time.
-	// Values round up to a power of two. Partitioning changes wall-clock
-	// parallelism only, never the kept set.
-	IndexPartitions int
 	// DistCompress enables lzj compression of the frames exchanged with
 	// djworker fleets over the dispatch wire (djprocess -dist-compress,
 	// recipe key dist_compress). Off by default: loopback fleets are
@@ -116,10 +110,13 @@ func Default() *Recipe {
 }
 
 // FromMap builds a recipe from a parsed YAML/JSON document, layered over
-// the defaults.
+// the defaults. A bool key given anything but a bool, or an int key given
+// anything but an integer, is an error naming the key and the value: a
+// scalar like "yes" or 2.5 is never silently coerced.
 func FromMap(m map[string]any) (*Recipe, error) {
 	r := Default()
 	for key, v := range m {
+		var err error
 		switch key {
 		case "project_name":
 			r.ProjectName = asString(v)
@@ -128,53 +125,46 @@ func FromMap(m map[string]any) (*Recipe, error) {
 		case "export_path":
 			r.ExportPath = asString(v)
 		case "np":
-			r.NP = asInt(v)
+			r.NP, err = asInt(key, v)
 		case "text_key":
 			r.TextKey = asString(v)
 		case "use_cache":
-			r.UseCache = asBool(v)
+			r.UseCache, err = asBool(key, v)
 		case "use_checkpoint":
-			r.UseCheckpoint = asBool(v)
+			r.UseCheckpoint, err = asBool(key, v)
 		case "cache_compression":
 			r.CacheCompression = asString(v)
 		case "op_fusion":
-			r.OpFusion = asBool(v)
+			r.OpFusion, err = asBool(key, v)
 		case "use_profiles":
-			r.UseProfiles = asBool(v)
+			r.UseProfiles, err = asBool(key, v)
 		case "adaptive":
-			r.Adaptive = asBool(v)
+			r.Adaptive, err = asBool(key, v)
 		case "max_workers":
-			r.MaxWorkers = asInt(v)
+			r.MaxWorkers, err = asInt(key, v)
 		case "target_mem_mb":
-			r.TargetMemMB = asInt(v)
+			r.TargetMemMB, err = asInt(key, v)
 		case "dedup_spill":
-			r.DedupSpill = asBool(v)
-		case "index_partitions":
-			r.IndexPartitions = asInt(v)
+			r.DedupSpill, err = asBool(key, v)
 		case "dist_compress":
-			r.DistCompress = asBool(v)
+			r.DistCompress, err = asBool(key, v)
 		case "trace":
-			r.EnableTrace = asBool(v)
+			r.EnableTrace, err = asBool(key, v)
 		case "listen":
 			r.Listen = asString(v)
 		case "journal":
-			r.Journal = asBool(v)
+			r.Journal, err = asBool(key, v)
 		case "work_dir":
 			r.WorkDir = asString(v)
 		case "sources":
-			specs, err := parseSources(v)
-			if err != nil {
-				return nil, err
-			}
-			r.Sources = specs
+			r.Sources, err = parseSources(v)
 		case "process":
-			specs, err := parseProcess(v)
-			if err != nil {
-				return nil, err
-			}
-			r.Process = specs
+			r.Process, err = parseProcess(v)
 		default:
 			return nil, fmt.Errorf("config: unknown recipe key %q (known keys: %v)", key, KnownRecipeKeys())
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return r, nil
@@ -187,7 +177,7 @@ var recipeKeys = []string{
 	"project_name", "dataset_path", "sources", "export_path", "np",
 	"text_key", "use_cache", "use_checkpoint", "cache_compression",
 	"op_fusion", "use_profiles", "adaptive", "max_workers",
-	"target_mem_mb", "dedup_spill", "index_partitions", "dist_compress",
+	"target_mem_mb", "dedup_spill", "dist_compress",
 	"trace", "listen", "journal", "work_dir", "process",
 }
 
@@ -375,11 +365,6 @@ func (r *Recipe) ApplyEnv(getenv func(string) string) {
 	if v := getenv("DJ_DEDUP_SPILL"); v != "" {
 		r.DedupSpill = v == "true" || v == "1"
 	}
-	if v := getenv("DJ_INDEX_PARTITIONS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			r.IndexPartitions = n
-		}
-	}
 	if v := getenv("DJ_DIST_COMPRESS"); v != "" {
 		r.DistCompress = v == "true" || v == "1"
 	}
@@ -495,19 +480,32 @@ func asString(v any) string {
 	return fmt.Sprintf("%v", v)
 }
 
-func asInt(v any) int {
+// asInt reads an int recipe key: an integer, or an integral JSON number.
+// An empty value (nil) reads as 0.
+func asInt(key string, v any) (int, error) {
 	switch x := v.(type) {
+	case nil:
+		return 0, nil
 	case int:
-		return x
+		return x, nil
 	case float64:
-		return int(x)
+		if x == math.Trunc(x) && math.Abs(x) < 1<<53 {
+			return int(x), nil
+		}
 	}
-	return 0
+	return 0, fmt.Errorf("config: %s must be an integer, got %T (%v)", key, v, v)
 }
 
-func asBool(v any) bool {
-	b, _ := v.(bool)
-	return b
+// asBool reads a bool recipe key: true/false only. An empty value (nil)
+// reads as false.
+func asBool(key string, v any) (bool, error) {
+	switch x := v.(type) {
+	case nil:
+		return false, nil
+	case bool:
+		return x, nil
+	}
+	return false, fmt.Errorf("config: %s must be true or false, got %T (%v)", key, v, v)
 }
 
 // asFloatStrict converts parser-produced numeric types only; anything

@@ -31,8 +31,8 @@ type OpSample struct {
 	// steer shard sizing.
 	Serial bool
 	// MaxParallel caps how many workers can make progress on this op at
-	// once (0 = unbounded). A partitioned shared-index stage reports its
-	// partition count: probes spread across partitions, but no wider.
+	// once (0 = unbounded). A shared-index stage reports 1: its ordered
+	// signature index applies one shard's batch at a time.
 	MaxParallel int
 }
 
@@ -321,8 +321,8 @@ func (m *OnlineModel) Plan(t Tuning, cur Decision) (Decision, bool) {
 		if b := segSurv * p.BytesPerSample; b > peakBPS {
 			peakBPS = b
 		}
-		// An op with a parallelism ceiling (a partitioned shared index
-		// probes at most MaxParallel partitions at once) bounds pipeline
+		// An op with a parallelism ceiling (the ordered shared index
+		// probes one batch at a time) bounds pipeline
 		// throughput at P/(surv·cps) input samples/sec regardless of the
 		// worker count — the same shape as a serial stage, scaled by 1/P.
 		if p.MaxParallel > 0 {

@@ -26,7 +26,6 @@ type node struct {
 	phase      int
 	cacheable  bool
 	spill      int64 // spill budget bytes (0 = op stays fully in memory)
-	partitions int   // SharedIndex: configured index partitions (0 = auto)
 	orig       int   // original recipe index (min member index once fused)
 	notes      []string
 }
@@ -86,8 +85,7 @@ func build(r *config.Recipe, profiles *dist.ProfileSet, profileErr error) (*Plan
 			Op: n.op, Key: n.key, MemberKeys: n.memberKeys,
 			Capability: n.cap, Phase: n.phase,
 			Cost: n.cost, Selectivity: n.sel, Measured: n.measured, Runs: n.runs,
-			StreamCacheable: n.cacheable, SpillBudget: n.spill,
-			IndexPartitions: n.partitions, Provenance: n.notes,
+			StreamCacheable: n.cacheable, SpillBudget: n.spill, Provenance: n.notes,
 		})
 	}
 	return p, nil
@@ -439,14 +437,7 @@ func (b *builder) passPlacement() {
 			n.notes = append(n.notes, "placement: shard-local (shards flow concurrently)")
 		case SharedIndex:
 			index++
-			n.partitions = b.r.IndexPartitions
-			how := "auto partitions (worker count at run time)"
-			if n.partitions > 0 {
-				how = fmt.Sprintf("%d partitions (index_partitions=%d)", n.partitions, n.partitions)
-			}
-			n.notes = append(n.notes, fmt.Sprintf(
-				"placement: hash-partitioned shared signature index, %s; "+
-					"per-partition batches apply in stream order", how))
+			n.notes = append(n.notes, "placement: shared signature index, consulted in shard order")
 		case Barrier:
 			barrier++
 			n.notes = append(n.notes, fmt.Sprintf("placement: barrier closing phase %d (drain, merge, re-shard)", phase))
@@ -520,13 +511,9 @@ func (b *builder) passSpill() {
 	share := (int64(b.r.TargetMemMB) << 20) / 2 / int64(len(dd))
 	for _, n := range dd {
 		n.spill = share
-		note := fmt.Sprintf(
+		n.notes = append(n.notes, fmt.Sprintf(
 			"spill: disk-backed index over %.1f MiB (share of target_mem_mb=%d)",
-			float64(share)/(1<<20), b.r.TargetMemMB)
-		if n.cap == SharedIndex {
-			note += "; split equally across index partitions"
-		}
-		n.notes = append(n.notes, note)
+			float64(share)/(1<<20), b.r.TargetMemMB))
 	}
 	b.record("spill", fmt.Sprintf("%d dedup op(s) budgeted %.1f MiB each (half of %d MiB target)",
 		len(dd), float64(share)/(1<<20), b.r.TargetMemMB))

@@ -72,11 +72,6 @@ type PhysicalOp struct {
 	// index when the estimated in-memory footprint exceeds it; 0 keeps
 	// the op fully in memory.
 	SpillBudget int64
-	// IndexPartitions is the configured partition count for a
-	// SharedIndex node's signature index (placement pass). 0 means auto:
-	// the streaming engine resolves it from its worker count at run
-	// time, so a machine-dependent value never bakes into the plan.
-	IndexPartitions int
 	// Provenance lists what each pass did to this node, in pass order.
 	Provenance []string
 }
@@ -224,13 +219,6 @@ func (p *Plan) Explain() string {
 		}
 		if n.SpillBudget > 0 {
 			flags += fmt.Sprintf(" [spill %.1fMiB]", float64(n.SpillBudget)/(1<<20))
-		}
-		if n.Capability == SharedIndex {
-			if n.IndexPartitions > 0 {
-				flags += fmt.Sprintf(" [partitions %d]", n.IndexPartitions)
-			} else {
-				flags += " [partitions auto]"
-			}
 		}
 		fmt.Fprintf(&b, "%2d. %-46s %-13s phase %d  cost %s  sel %.2f%s\n",
 			i+1, n.Op.Name(), "["+n.Capability.String()+"]", n.Phase, n.CostString(), n.Selectivity, flags)

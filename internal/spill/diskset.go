@@ -3,6 +3,7 @@ package spill
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 )
@@ -27,10 +28,9 @@ const (
 // disjoint by construction — a key is only admitted to the delta after
 // missing every run — so compaction is a simple k-way merge.
 //
-// DiskSet is not safe for concurrent use. The streaming engine gives each
-// index partition its own DiskSet and serializes batches within a
-// partition in stream order, so first-occurrence semantics hold without
-// any locking here.
+// DiskSet is not safe for concurrent use. The streaming engine's ordered
+// signature index applies batches one at a time in stream order, so
+// first-occurrence semantics hold without any locking here.
 type DiskSet struct {
 	dir      string
 	budget   int64
@@ -55,11 +55,13 @@ type setRun struct {
 }
 
 // NewDiskSet creates a signature set bounded by budget bytes in dir. The
-// directory is created on first flush, not up front.
+// directory is created on first flush, not up front. A budget <= 0 means
+// unbounded: the delta never flushes, the set stays a plain in-memory
+// map and dir is never touched.
 func NewDiskSet(dir string, budget int64) *DiskSet {
-	maxDelta := int(budget / deltaEntryBytes)
-	if maxDelta < 1024 {
-		maxDelta = 1024
+	maxDelta := math.MaxInt
+	if budget > 0 {
+		maxDelta = max(int(budget/deltaEntryBytes), 1024)
 	}
 	return &DiskSet{
 		dir:      dir,

@@ -52,19 +52,14 @@ func (c *counters) snapshot() Stats {
 	return Stats{Runs: c.runs.Load(), Bytes: c.bytes.Load()}
 }
 
-// Mix is the partition/fingerprint mixer (splitmix64 finalizer). It keeps
-// partition assignment decorrelated from the callers' own key hashing; the
-// streaming engine uses it to route signatures to index partitions, so the
-// partition choice is a pure function of the signature alone.
-func Mix(x uint64) uint64 {
+// mix is the partition/fingerprint mixer (splitmix64 finalizer). It keeps
+// partition assignment decorrelated from the callers' own key hashing.
+func mix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// mix keeps the package-internal spelling.
-func mix(x uint64) uint64 { return Mix(x) }
 
 // ensureDir creates dir (and parents) if needed.
 func ensureDir(dir string) error { return os.MkdirAll(dir, 0o755) }

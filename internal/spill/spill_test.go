@@ -128,8 +128,8 @@ func TestDiskSetMatchesMap(t *testing.T) {
 	const batch = 512
 	sigs := make([]uint64, batch)
 	// novel starts dirty and is deliberately never cleared between
-	// rounds: the streaming index partitions reuse scratch slices the same
-	// way, so AddBatch must write every slot — a skipped duplicate slot
+	// rounds: callers may reuse their verdict slice the same way, so
+	// AddBatch must write every slot — a skipped duplicate slot
 	// would leak the previous batch's verdict.
 	novel := make([]bool, batch)
 	for i := range novel {
@@ -167,6 +167,31 @@ func TestDiskSetMatchesMap(t *testing.T) {
 		if got != want {
 			t.Fatalf("Contains(%d) = %v, want %v", sig, got, want)
 		}
+	}
+}
+
+// TestDiskSetUnbounded: a budget <= 0 never flushes, so the set never
+// touches its directory and answers like a plain map.
+func TestDiskSetUnbounded(t *testing.T) {
+	for _, budget := range []int64{0, -1} {
+		s := NewDiskSet("/nonexistent/never-created", budget)
+		sigs := make([]uint64, 50000)
+		for i := range sigs {
+			sigs[i] = uint64(i % 30000)
+		}
+		novel := make([]bool, len(sigs))
+		if err := s.AddBatch(sigs, novel); err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		for i := range sigs {
+			if novel[i] != (i < 30000) {
+				t.Fatalf("budget %d: novel[%d] = %v", budget, i, novel[i])
+			}
+		}
+		if st := s.Stats(); st.Runs != 0 || s.Len() != 30000 {
+			t.Fatalf("budget %d: %d runs, %d keys; want 0 runs, 30000 keys", budget, st.Runs, s.Len())
+		}
+		s.Close()
 	}
 }
 

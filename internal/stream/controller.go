@@ -151,19 +151,18 @@ func (c *Controller) ObserveOp(o core.OpObservation) {
 }
 
 // observeIndexOp records a shared-index dedup pass, which bypasses the
-// runner. dur must exclude index resolution wait time — queueing is not
-// work. partitions is the stage's index partition count: the model folds
-// it in as the op's parallelism ceiling, so the worker plan knows index
-// work spreads across at most that many probes (under the turnstile this
-// ceiling was an implicit, and unmodeled, 1).
-func (c *Controller) observeIndexOp(op ops.OP, in, out int, bytes int64, dur time.Duration, partitions int) {
+// runner. dur must exclude the index turn wait — queueing is not work.
+// maxParallel is the op's parallelism ceiling (1 for the ordered
+// signature index): the model folds it in so the worker plan knows index
+// work spreads across at most that many probes.
+func (c *Controller) observeIndexOp(op ops.OP, in, out int, bytes int64, dur time.Duration, maxParallel int) {
 	seq, ok := c.planIdx[op]
 	if !ok {
 		return
 	}
 	c.model.RecordOp(dist.OpSample{
 		Seq: seq, Name: c.planName[op], In: in, Out: out, Bytes: bytes, Duration: dur,
-		Serial: c.serial[seq], MaxParallel: partitions,
+		Serial: c.serial[seq], MaxParallel: maxParallel,
 	})
 }
 

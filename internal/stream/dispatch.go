@@ -74,7 +74,7 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 			d = cached
 			chainKey = keys[k]
 			hits++
-			p.agg.addOp(st.planIdx[k], inCount, d.Len(), time.Since(opStart), 0, true, 1, 1)
+			p.agg.addOp(st.planIdx[k], inCount, d.Len(), time.Since(opStart), 0, true, 1)
 			e.runner.TraceCacheHit(st.ops[k], inCount, d.Len(), time.Since(opStart))
 			if e.tele != nil {
 				e.tele.Op(st.planIdx[k]).CacheHit(inCount, d.Len())
@@ -102,7 +102,7 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 			if ok {
 				in := d.Len()
 				for i := k; i < n; i++ {
-					p.agg.addOp(st.planIdx[i], in, cached.Len(), 0, 0, true, 1, 1)
+					p.agg.addOp(st.planIdx[i], in, cached.Len(), 0, 0, true, 1)
 					if e.tele != nil {
 						e.tele.Op(st.planIdx[i]).CacheHit(in, cached.Len())
 						e.tele.Emit(telemetry.Event{
@@ -138,7 +138,7 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 	for _, f := range flows {
 		li := f.PlanIdx - st.planIdx[0]
 		dur := time.Duration(f.DurNS)
-		p.agg.addOp(f.PlanIdx, int(f.In), int(f.Out), dur, dur, false, 1, 1)
+		p.agg.addOp(f.PlanIdx, int(f.In), int(f.Out), dur, dur, false, 1)
 		if e.ctrl != nil {
 			e.ctrl.ObserveOp(core.OpObservation{
 				Op: st.ops[li], In: int(f.In), Out: int(f.Out),

@@ -11,13 +11,11 @@
 // executor. Operators execute through the same core.OpRunner, so both
 // backends apply ops identically. The planned capability decides the
 // flow: mappers and filters are shard-local; signature deduplicators
-// (ops.StreamDeduper) run against a shared signature index that is
-// hash-partitioned so shards probe concurrently — per-partition batches
-// still apply in stream order, preserving the batch engine's
-// first-occurrence semantics without a barrier (see sigpart.go);
-// similarity deduplicators are declared barriers —
-// the engine drains the stream, merges the shards in order, applies the
-// op, and re-shards.
+// (ops.StreamDeduper) run against a shared signature index that applies
+// shard batches in stream order, preserving the batch engine's
+// first-occurrence semantics without a barrier (see sigindex.go);
+// similarity deduplicators are declared barriers — the engine drains
+// the stream, merges the shards in order, applies the op, and re-shards.
 //
 // With the recipe's cache enabled, every shard's leading run of
 // shard-local ops is cached per (shard content, op chain) key via
@@ -90,8 +88,8 @@ type Options struct {
 	// ShardDelay, when non-nil, sleeps the returned duration before a
 	// shard enters the phase's stage chain. It exists for conformance
 	// testing: randomized (seeded) per-shard delays force shards to reach
-	// the partitioned signature index out of order, proving out-of-order
-	// claiming keeps exports byte-identical.
+	// the signature index out of order, proving out-of-order arrival
+	// keeps exports byte-identical.
 	ShardDelay func(phase, shard int) time.Duration
 }
 
@@ -127,7 +125,6 @@ type stage struct {
 	dedup       ops.StreamDeduper // stageIndex only
 	cacheable   bool              // stageLocal: planner-annotated shard-cacheable run
 	spillBudget int64             // stageIndex: planner's spill budget (0 = in-memory)
-	partitions  int               // stageIndex: configured index partitions (0 = auto)
 }
 
 // phase is a maximal barrier-free segment of the plan. The engine
@@ -167,7 +164,7 @@ func splitPhases(p *plan.Plan) []phase {
 			flush()
 			stages = append(stages, stage{
 				kind: stageIndex, dedup: n.Op.(ops.StreamDeduper), planIdx: []int{i},
-				spillBudget: n.SpillBudget, partitions: n.IndexPartitions,
+				spillBudget: n.SpillBudget,
 			})
 		case plan.Barrier:
 			flush()
@@ -267,7 +264,7 @@ func New(r *config.Recipe, opts Options) (*Engine, error) {
 	}
 	// Barrier deduplicators (minhash/simhash/vector) spill through the
 	// same op-level machinery as the batch backend; shared-index stages
-	// spill through the partitioned index's disk-backed signature sets.
+	// spill through their ordered index's disk-backed signature set.
 	core.ConfigureSpill(p, r)
 	return e, nil
 }
@@ -368,7 +365,7 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 		}
 		bDur := time.Since(bStart)
 		agg.addOp(ph.barrierIdx, merged.Len(), out.Len(), bDur, bDur, false,
-			dataset.Workers(e.recipe.NP), dataset.Workers(e.recipe.NP))
+			dataset.Workers(e.recipe.NP))
 		if e.tele != nil {
 			e.tele.Emit(telemetry.Event{
 				Type: telemetry.EvOpComplete, Span: e.tele.NewSpan(), Parent: phaseSpan,
@@ -437,7 +434,7 @@ type phaseRun struct {
 	phase   int
 	span    int64 // the phase's journal span (0 without telemetry)
 	stages  []stage
-	indexes map[int]*partIndex // stage index -> partitioned signature index
+	indexes map[int]*turnstile // stage index -> ordered signature index
 	agg     *aggregator
 	gate    *gate
 
@@ -453,7 +450,7 @@ func (p *phaseRun) fail(err error) {
 	p.abortOnce.Do(func() {
 		p.runErr = err
 		close(p.abort)
-		// Unblock the source's backpressure wait. Index resolution waits
+		// Unblock the source's backpressure wait. Index turn waits
 		// select on p.abort directly; no further wakeup is needed.
 		p.gate.close()
 	})
@@ -489,20 +486,13 @@ func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []st
 
 	p := &phaseRun{
 		eng: e, phase: phaseIdx, span: phaseSpan, stages: stages, agg: agg,
-		indexes: map[int]*partIndex{},
+		indexes: map[int]*turnstile{},
 		abort:   make(chan struct{}),
 		gate:    newGate(limit),
 	}
 	for i, st := range stages {
 		if st.kind == stageIndex {
-			nparts := resolvePartitions(st.partitions, workers)
-			stageIdx, stg := i, st
-			p.indexes[i] = newPartIndex(nparts, workers, func(k int) sigIndex {
-				return e.newSigIndex(phaseIdx, stageIdx, k, nparts, stg)
-			})
-			if e.tele != nil {
-				e.tele.ObserveIndexPartitions(st.dedup.Name(), nparts)
-			}
+			p.indexes[i] = newTurnstile(e.newSigIndex(phaseIdx, i, st))
 		}
 	}
 	// Whatever happens below, the signature indexes release their spill
@@ -528,7 +518,7 @@ func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []st
 			e.tele.Emit(telemetry.Event{
 				Type: telemetry.EvIndex, Parent: phaseSpan,
 				Name: st.dedup.Name(), PlanIdx: st.planIdx[0], Phase: phaseIdx,
-				Partitions: len(x.parts), Waits: waits, DurNS: int64(wait),
+				Partitions: 1, Waits: waits, DurNS: int64(wait),
 			})
 		}
 	}()
@@ -604,11 +594,10 @@ func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []st
 	// Workers: each shard runs the whole stage chain on one worker, so
 	// different shards occupy different ops concurrently. The work
 	// channel delivers shards in index order, which guarantees the
-	// lowest in-flight shard is always held by some worker — that shard's
-	// index deposits apply immediately at every partition, so resolution
-	// waits are deadlock-free. The pool only retires workers after they
-	// finish their current shard, preserving that invariant across
-	// resizes.
+	// lowest in-flight shard is always held by some worker — the
+	// property that keeps signature index waits deadlock-free. The pool
+	// only retires workers after they finish their current shard,
+	// preserving that invariant across resizes.
 	wp := newPool(work, func(sh *Shard) {
 		if p.aborted() {
 			return
@@ -762,7 +751,7 @@ func (p *phaseRun) runLocalFrom(st stage, d *dataset.Dataset, from int, chainKey
 				d = cached
 				chainKey = key
 				hits++
-				p.agg.addOp(st.planIdx[i], inCount, d.Len(), time.Since(opStart), 0, true, 1, 1)
+				p.agg.addOp(st.planIdx[i], inCount, d.Len(), time.Since(opStart), 0, true, 1)
 				e.runner.TraceCacheHit(op, inCount, d.Len(), time.Since(opStart))
 				if e.tele != nil {
 					e.tele.Op(st.planIdx[i]).CacheHit(inCount, d.Len())
@@ -789,7 +778,7 @@ func (p *phaseRun) runLocalFrom(st stage, d *dataset.Dataset, from int, chainKey
 			chainKey = key
 		}
 		opDur := time.Since(opStart)
-		p.agg.addOp(st.planIdx[i], inCount, d.Len(), opDur, opDur, false, 1, 1)
+		p.agg.addOp(st.planIdx[i], inCount, d.Len(), opDur, opDur, false, 1)
 		if e.tele != nil {
 			e.tele.Emit(telemetry.Event{
 				Type: telemetry.EvOpComplete, Span: e.tele.NewSpan(), Parent: shardSpan,
@@ -804,17 +793,16 @@ func (p *phaseRun) runLocalFrom(st stage, d *dataset.Dataset, from int, chainKey
 }
 
 // runIndex passes one shard through a shared-signature dedup stage:
-// signatures are computed outside any lock, routed to the stage's
-// partitioned index, and the shard blocks only until every partition has
-// resolved its in-order prefix through this shard (see sigpart.go).
+// signatures are computed before the shard takes its turn at the stage's
+// ordered index (see sigindex.go).
 func (p *phaseRun) runIndex(si int, st stage, shardIdx int, d *dataset.Dataset, shardSpan int64) (*dataset.Dataset, error) {
 	opStart := time.Now()
 	var inBytes int64
 	if p.eng.ctrl != nil || p.eng.tele != nil {
 		inBytes = d.TotalBytes()
 	}
-	// Signatures are pure per-sample work: compute them before touching
-	// the shared index so partitions serialize only membership probes.
+	// Signatures are pure per-sample work: compute them before taking a
+	// turn so the serialized section is just membership probes.
 	sigs := make([]uint64, d.Len())
 	for i, s := range d.Samples {
 		sigs[i] = st.dedup.Signature(s)
@@ -837,21 +825,20 @@ func (p *phaseRun) runIndex(si int, st stage, shardIdx int, d *dataset.Dataset, 
 	}
 
 	out := dataset.New(kept)
-	// The report keeps the wall view (wait included) and the actual probe
-	// parallelism; the executed view feeding profile persistence excludes
-	// the resolution wait and stays at parallelism 1 — each shard's
-	// duration here is single-goroutine CPU time.
+	// The report keeps the wall view (wait included); the executed view
+	// feeding profile persistence excludes the turn wait, matching the
+	// controller's cost signal — queueing is not work.
 	p.agg.addOp(st.planIdx[0], d.Len(), out.Len(), time.Since(opStart),
-		time.Since(opStart)-wait, false, x.probeWorkers, 1)
+		time.Since(opStart)-wait, false, 1)
 	if p.eng.ctrl != nil {
-		// Resolution wait is backpressure, not work: exclude it from the
-		// cost signal, and tell the model how wide index work can spread.
+		// The turn wait is backpressure, not work: exclude it from the
+		// cost signal. Index probes never run in parallel: ceiling 1.
 		p.eng.ctrl.observeIndexOp(st.dedup, d.Len(), out.Len(), inBytes,
-			time.Since(opStart)-wait, len(x.parts))
+			time.Since(opStart)-wait, 1)
 	}
 	if t := p.eng.tele; t != nil {
 		// The shared-index path bypasses the runner observer: feed the
-		// instruments explicitly, with the resolution wait excluded from
+		// instruments explicitly, with the turn wait excluded from
 		// the cost signal just like the controller sees it.
 		t.Op(st.planIdx[0]).Observe(d.Len(), out.Len(), inBytes, time.Since(opStart)-wait)
 		if wait > 0 {
@@ -862,7 +849,7 @@ func (p *phaseRun) runIndex(si int, st stage, shardIdx int, d *dataset.Dataset, 
 			Name: st.dedup.Name(), Kind: "deduplicator", PlanIdx: st.planIdx[0],
 			Phase: p.phase, Shard: shardIdx,
 			In: int64(d.Len()), Out: int64(out.Len()),
-			DurNS: int64(time.Since(opStart)), Workers: x.probeWorkers,
+			DurNS: int64(time.Since(opStart)), Workers: 1,
 		})
 	}
 	if tr := p.eng.runner.Tracer(); tr != nil {

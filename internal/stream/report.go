@@ -220,16 +220,12 @@ func newAggregator(p *plan.Plan) *aggregator {
 
 // addOp folds one shard's pass through plan op i into the aggregate.
 // dur lands in the report; execDur — the portion that is real execution
-// work (runIndex excludes its index resolution wait, every other caller
-// passes dur) — lands in the executed view. The two worker counts serve
-// the two views: workers is the parallelism the op actually ran under
-// (1 for shard-local work, the partitioned index's probe parallelism for
-// shared-index work, the full pool for a barrier op) and is reported;
-// execWorkers is the parallelism the executed duration was measured
-// under (1 wherever durations are per-goroutine CPU sums) — it
-// normalizes the executed view's durations to CPU time for profile
-// persistence.
-func (a *aggregator) addOp(i, in, out int, dur, execDur time.Duration, cacheHit bool, workers, execWorkers int) {
+// work (runIndex excludes its index turn wait, every other caller
+// passes dur) — lands in the executed view. workers is the parallelism
+// the op ran under (1 for shard-local and shared-index work, the full
+// pool for a barrier op) — it normalizes the executed view's durations
+// to CPU time for profile persistence.
+func (a *aggregator) addOp(i, in, out int, dur, execDur time.Duration, cacheHit bool, workers int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats[i].InCount += in
@@ -245,8 +241,8 @@ func (a *aggregator) addOp(i, in, out int, dur, execDur time.Duration, cacheHit 
 		a.exec[i].InCount += in
 		a.exec[i].OutCount += out
 		a.exec[i].Duration += execDur
-		if execWorkers > a.exec[i].Workers {
-			a.exec[i].Workers = execWorkers
+		if workers > a.exec[i].Workers {
+			a.exec[i].Workers = workers
 		}
 	}
 }

@@ -17,9 +17,10 @@ import (
 // worker_retry, shard_steal) and the worker/addr fields; version 3
 // added the wire-transport accounting (worker_wire events, the proto
 // field on worker_start, and the bytes_sent/bytes_recv family);
-// version 4 added the partitioned signature index contention events
-// (index, with the partitions/waits fields). Older journals remain
-// valid.
+// version 4 added the signature index contention events (index, with
+// the partitions/waits fields; partitions is always 1 since the index
+// became one ordered set, and stays for append-only compatibility).
+// Older journals remain valid.
 const SchemaVersion = 4
 
 // Journal event types. Every line in a journal file is one Event whose
@@ -54,9 +55,9 @@ const (
 	EvWorkerWire = "worker_wire"
 
 	// index (schema v4) is one shared-index stage's end-of-phase
-	// contention tally: the partition count of its signature index, the
-	// claims that blocked on in-order resolution (waits), and their
-	// summed wait time (dur_ns).
+	// contention tally: the partition count of its signature index
+	// (always 1), the claims that waited for their turn (waits), and
+	// their summed wait time (dur_ns).
 	EvIndex = "index"
 )
 
@@ -127,9 +128,9 @@ type Event struct {
 	// dedup index wrote; Bytes carries the spilled bytes (spill events).
 	SpillRuns int64 `json:"spill_runs,omitempty"`
 
-	// Partitioned-index contention (index events, schema v4): the
-	// signature index's partition count and how many shard claims
-	// blocked on in-order resolution (their summed wait is DurNS).
+	// Signature index contention (index events, schema v4): the
+	// index's partition count (always 1) and how many shard claims
+	// waited for their turn (their summed wait is DurNS).
 	Partitions int   `json:"partitions,omitempty"`
 	Waits      int64 `json:"waits,omitempty"`
 

@@ -99,7 +99,7 @@ func TestGoldenTimeline(t *testing.T) {
 	out := tl.Render()
 	for _, want := range []string{"run r1 [stream]", "fused_filter", "plan passes", "phases:",
 		"spill (disk-backed dedup indexes)", "spilled 3 runs, 2.0 MiB",
-		"index contention (partitioned signature indexes)", "8 partitions, 5 blocked claims",
+		"index contention (signature index waits)", "5 blocked claims, 120µs waiting",
 		"workers:", "w1  127.0.0.1:43117", "1 retries", "DISCONNECTED",
 		"wire (dispatch transport):", "w1  proto=2 sent 4.0 MiB recv 1.0 MiB (2.00x vs raw), 2 delta stages"} {
 		if !strings.Contains(out, want) {

@@ -441,18 +441,8 @@ func (r *Run) ObserveSpill(op string, runs, bytes int64) {
 	r.Reg.Counter("dj_spill_bytes_total", "dedup index bytes spilled to disk", lbl).Add(bytes)
 }
 
-// ObserveIndexPartitions records the partition count of one shared-index
-// dedup stage's signature index, labeled by op name.
-func (r *Run) ObserveIndexPartitions(op string, partitions int) {
-	if r == nil {
-		return
-	}
-	lbl := Label{Key: "op", Value: op}
-	r.Reg.Gauge("dj_index_partitions", "signature index partitions per shared-index op", lbl).Set(int64(partitions))
-}
-
-// ObserveIndexWait accounts one shard's blocked wait for in-order
-// resolution at a partitioned signature index, labeled by op name.
+// ObserveIndexWait accounts one shard's blocked wait for its turn at a
+// shared signature index, labeled by op name.
 func (r *Run) ObserveIndexWait(op string, d time.Duration) {
 	if r == nil {
 		return

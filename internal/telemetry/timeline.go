@@ -19,9 +19,9 @@ type OpTimeline struct {
 	SpillRuns    int64
 	SpillBytes   int64
 
-	// Partitioned signature index contention (index events, schema v4).
-	Partitions int           // partition count (0 = not a shared-index op)
-	IndexWaits int64         // shard claims that blocked on resolution
+	// Signature index contention (index events, schema v4).
+	Partitions int           // journaled partition count (0 = not a shared-index op)
+	IndexWaits int64         // shard claims that waited for their turn
 	IndexWait  time.Duration // their summed wait
 }
 
@@ -331,10 +331,10 @@ func (tl *Timeline) Render() string {
 		}
 	}
 	if len(indexed) > 0 {
-		b.WriteString("\nindex contention (partitioned signature indexes):\n")
+		b.WriteString("\nindex contention (signature index waits):\n")
 		for _, o := range indexed {
-			fmt.Fprintf(&b, "  %-44s %d partitions, %d blocked claims, %s waiting\n",
-				o.Name, o.Partitions, o.IndexWaits, o.IndexWait.Round(time.Microsecond))
+			fmt.Fprintf(&b, "  %-44s %d blocked claims, %s waiting\n",
+				o.Name, o.IndexWaits, o.IndexWait.Round(time.Microsecond))
 		}
 	}
 

@@ -1,8 +1,7 @@
 // Cross-backend conformance for disk-backed dedup: a -target-mem-mb
 // budget must change where dedup index state lives (RAM vs sorted runs /
-// LSH partitions / the streaming index partitions' LSM sets on disk)
-// without
-// changing a single exported byte, on either backend.
+// LSH partitions / the streaming signature index's LSM set on disk)
+// without changing a single exported byte, on either backend.
 package repro_test
 
 import (
@@ -18,8 +17,8 @@ import (
 	"repro/internal/stream"
 )
 
-// spillConformanceRecipe pairs the shared-index exact dedup (per-partition
-// DiskSet path on the stream backend, sorted runs on batch) with the
+// spillConformanceRecipe pairs the shared-index exact dedup (DiskSet path
+// on the stream backend, sorted runs on batch) with the
 // minhash barrier (partitioned on-disk LSH on both backends).
 func spillConformanceRecipe(workDir string, targetMemMB int, spill bool) *config.Recipe {
 	r := config.Default()
@@ -91,7 +90,7 @@ func TestSpillCrossBackendConformance(t *testing.T) {
 	}
 
 	// Streaming under the same budget: the exact dedup runs against its
-	// disk-backed signature partitions, minhash as a spilled barrier.
+	// disk-backed signature set, minhash as a spilled barrier.
 	streamRecipe := spillConformanceRecipe(t.TempDir(), 1, true)
 	eng, err := stream.New(streamRecipe, stream.Options{ShardSize: 256})
 	if err != nil {
