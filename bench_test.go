@@ -527,8 +527,8 @@ func BenchmarkExecBatch(b *testing.B) {
 	}
 }
 
-// benchStream shares the measurement harness between the fixed-shard and
-// adaptive streaming benchmarks.
+// benchStream measures one streaming run of benchStreamRecipe over a
+// docs-sized corpus: peak heap and throughput.
 func benchStream(b *testing.B, docs int, opts stream.Options) {
 	b.Helper()
 	path := benchCorpusFile(b, docs)
@@ -564,23 +564,6 @@ func BenchmarkExecStream(b *testing.B) {
 	for _, docs := range backendBenchSizes {
 		b.Run(fmt.Sprintf("docs=%d", docs), func(b *testing.B) {
 			benchStream(b, docs, stream.Options{ShardSize: 256})
-		})
-	}
-}
-
-// BenchmarkExecStreamAdaptive runs the same recipe with the runtime
-// controller deciding shard size, worker count and backpressure under a
-// 256MB resident-text target. Compare against BenchmarkExecStream
-// (fixed) and BenchmarkExecBatch; BENCH_stream_adaptive.json records one
-// captured comparison.
-func BenchmarkExecStreamAdaptive(b *testing.B) {
-	for _, docs := range backendBenchSizes {
-		b.Run(fmt.Sprintf("docs=%d", docs), func(b *testing.B) {
-			benchStream(b, docs, stream.Options{
-				ShardSize:      256,
-				Adaptive:       true,
-				TargetMemBytes: 256 << 20,
-			})
 		})
 	}
 }

@@ -16,7 +16,7 @@
 //	djprocess -builtin pretrain-web-en -input "hub:web-en?docs=500&seed=1" -output out.jsonl
 //	djprocess -builtin minimal-clean -input "mix:a.jsonl@2,b.csv.gz@1" -output mixed.jsonl
 //	djprocess -stream -shard-size 1024 -recipe recipe.yaml -input "data/*.jsonl.gz" -output out.jsonl
-//	djprocess -stream -adaptive -max-workers 16 -target-mem-mb 512 -recipe recipe.yaml -input big.jsonl -output out.jsonl
+//	djprocess -stream -target-mem-mb 512 -recipe recipe.yaml -input big.jsonl -output out.jsonl
 //	djprocess -workers 4 -recipe recipe.yaml -input big.jsonl -output out.jsonl
 //	djprocess -explain -recipe recipe.yaml
 //	djprocess -list-ops | -list-recipes
@@ -69,10 +69,8 @@ func main() {
 		output      = flag.String("output", "", "export path (.jsonl/.json/.txt; .txt drops meta/stats); overrides the recipe's export_path")
 		np          = flag.Int("np", 0, "worker count (0 = all cores)")
 		streamMode  = flag.Bool("stream", false, "use the shard-pipelined streaming engine (bounded memory)")
-		shardSize   = flag.Int("shard-size", stream.DefaultShardSize, "samples per shard in -stream mode (starting point with -adaptive)")
-		adaptive    = flag.Bool("adaptive", false, "let the runtime controller retune shard size, workers and backpressure from live measurements (implies -stream)")
-		maxWorkers  = flag.Int("max-workers", 0, "cap on the adaptive worker pool (0 = max of -np and all cores)")
-		targetMemMB = flag.Int("target-mem-mb", 0, "memory target in MB: bounds dedup index memory via disk spilling (both backends), and with -adaptive also the text bytes resident across in-flight shards (0 = unbounded)")
+		shardSize   = flag.Int("shard-size", stream.DefaultShardSize, "samples per shard in -stream mode")
+		targetMemMB = flag.Int("target-mem-mb", 0, "memory target in MB: bounds dedup index memory via disk spilling, on both backends (0 = unbounded)")
 		noSpill     = flag.Bool("no-dedup-spill", false, "keep dedup indexes fully in memory even when -target-mem-mb is set")
 		showPlan    = flag.Bool("plan", false, "print the fused execution plan before running")
 		explain     = flag.Bool("explain", false, "print the optimized plan — per-op predicted cost, selectivity, capability class, and per-pass provenance — and exit without running")
@@ -146,12 +144,6 @@ func main() {
 	if *np != 0 {
 		recipe.NP = *np
 	}
-	if *adaptive {
-		recipe.Adaptive = true
-	}
-	if *maxWorkers != 0 {
-		recipe.MaxWorkers = *maxWorkers
-	}
 	if *targetMemMB != 0 {
 		recipe.TargetMemMB = *targetMemMB
 	}
@@ -160,9 +152,6 @@ func main() {
 	}
 	if *distComp {
 		recipe.DistCompress = true
-	}
-	if !recipe.Adaptive && recipe.MaxWorkers != 0 {
-		fmt.Fprintln(os.Stderr, "djprocess: -max-workers only takes effect with -adaptive; ignored")
 	}
 	// -explain plans the recipe exactly as a run would see it, so it
 	// must come after every recipe-overriding flag above.
@@ -204,7 +193,7 @@ func main() {
 	distributed := dopts.workers > 0 || len(dopts.addrs) > 0
 
 	tele, srv := openTelemetry(recipe)
-	if *streamMode || recipe.Adaptive || distributed {
+	if *streamMode || distributed {
 		if err := runStreaming(recipe, recipeSrc, inputSpec, *shardSize, *showPlan, *probe || *space, tele, dopts); err != nil {
 			fatal(err)
 		}
@@ -399,8 +388,6 @@ func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize 
 	}
 	opts := stream.Options{
 		ShardSize:      shardSize,
-		Adaptive:       recipe.Adaptive,
-		MaxWorkers:     recipe.MaxWorkers,
 		TargetMemBytes: int64(recipe.TargetMemMB) << 20,
 		Telemetry:      tele,
 	}
@@ -455,10 +442,8 @@ func runStreaming(recipe *config.Recipe, recipeSrc, inputSpec string, shardSize 
 		e.Shards = report.ShardCount
 		e.Resumed = report.ResumedShards
 	})
-	// The same per-op snapshot the batch path renders, plus the adaptive
-	// controller's self-report.
+	// The same per-op snapshot the batch path renders.
 	fmt.Print(telemetry.FormatOpTable(core.TelemetryRows(report.OpStats)))
-	fmt.Print(report.Metrics.Summary())
 	fmt.Print(report.DistSummary())
 	if tr := eng.Tracer(); tr != nil {
 		fmt.Print(tr.Summary())
@@ -479,7 +464,9 @@ func loadRecipe(path, builtin string) (*config.Recipe, error) {
 		}
 		// DJ_* environment overrides apply to built-in recipes exactly
 		// as they do to recipe files (config.Load does this itself).
-		r.ApplyEnv(os.Getenv)
+		if err := r.ApplyEnv(os.Getenv); err != nil {
+			return nil, err
+		}
 		return r, nil
 	}
 	return nil, fmt.Errorf("a recipe is required: -recipe FILE or -builtin NAME")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/disttest"
+	"repro/internal/remote"
 )
 
 // workerPIDs lists the live processes whose command line names a worker
@@ -61,6 +62,9 @@ func requireNoWorkers(t *testing.T, workDir string) {
 func djprocess(t *testing.T, workDir string, env []string, args ...string) *exec.Cmd {
 	cmd := exec.Command(disttest.ProcessBin(t), args...)
 	cmd.Env = append(append(os.Environ(), "DJ_WORK_DIR="+workDir), env...)
+	// A test binary killed by -timeout or a panic must not leave
+	// djprocess (and through it its workers) running.
+	remote.BindLifetime(cmd)
 	// Surviving workers would hold the output pipes open; stop waiting on
 	// them shortly after djprocess itself exits.
 	cmd.WaitDelay = 100 * time.Millisecond

@@ -57,14 +57,11 @@
 // docs/recipes.md; the generated operator table is
 // internal/ops/README.md.
 //
-// In adaptive streaming mode (djprocess -stream -adaptive), a runtime
-// controller measures every operator application online through a
-// core.OpRunner observer hook, feeds the live profile into the
-// internal/dist cost model (dist.OnlineModel), and re-plans between
-// shard generations: shard size tracks the measured chain cost, the
-// worker pool grows only while the model says throughput follows, and a
-// resizable in-flight gate applies backpressure at the source so a
-// -target-mem-mb budget holds. Fixed-shard mode remains the default.
+// The streaming pipeline has a fixed shape for the whole run: the
+// recipe's np workers, a static shard size (-shard-size), and a gate
+// bounding the shards in flight, which applies backpressure at the
+// source. The plan adapts to measurements between runs through the
+// planner's profile sidecar.
 //
 // # Zero-allocation hot path
 //
@@ -85,8 +82,8 @@
 // Choose batch for corpora that fit comfortably in RAM or when probe
 // analysis is wanted; choose streaming (djprocess -stream) for corpora
 // larger than RAM or when output should appear incrementally; add
-// -adaptive when the workload is unprofiled or a memory budget matters.
-// See the README architecture section for the full comparison.
+// -target-mem-mb when the dedup indexes must fit a memory budget. See
+// the README architecture section for the full comparison.
 //
 // The implementation lives under internal/; runnable entry points are
 // cmd/djprocess, cmd/djanalyze, cmd/djbench and examples/.

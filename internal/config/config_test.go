@@ -235,14 +235,60 @@ func TestRecipeAddRemoveSetParam(t *testing.T) {
 func TestApplyEnv(t *testing.T) {
 	r := Default()
 	env := map[string]string{
-		"DJ_NP":        "16",
-		"DJ_USE_CACHE": "false",
-		"DJ_OP_FUSION": "1",
-		"DJ_WORK_DIR":  "/tmp/dj",
+		"DJ_NP":            "16",
+		"DJ_USE_CACHE":     "false",
+		"DJ_OP_FUSION":     "1",
+		"DJ_TARGET_MEM_MB": "128",
+		"DJ_WORK_DIR":      "/tmp/dj",
 	}
-	r.ApplyEnv(func(k string) string { return env[k] })
-	if r.NP != 16 || r.UseCache || !r.OpFusion || r.WorkDir != "/tmp/dj" {
+	if err := r.ApplyEnv(func(k string) string { return env[k] }); err != nil {
+		t.Fatal(err)
+	}
+	if r.NP != 16 || r.UseCache || !r.OpFusion || r.TargetMemMB != 128 || r.WorkDir != "/tmp/dj" {
 		t.Fatalf("recipe = %+v", r)
+	}
+}
+
+// TestApplyEnvRejectsMalformed: a bool variable takes only
+// true/false/1/0 and an int variable only an integer; anything else is
+// an error naming the variable and its value, not a silent false or an
+// ignored override.
+func TestApplyEnvRejectsMalformed(t *testing.T) {
+	for _, c := range []struct{ name, value string }{
+		{"DJ_USE_CACHE", "yes"},
+		{"DJ_USE_CACHE", "TRUE"},
+		{"DJ_OP_FUSION", "on"},
+		{"DJ_JOURNAL", "no"},
+		{"DJ_NP", "four"},
+		{"DJ_NP", "2.5"},
+		{"DJ_TARGET_MEM_MB", "1g"},
+	} {
+		r := Default()
+		err := r.ApplyEnv(func(k string) string {
+			if k == c.name {
+				return c.value
+			}
+			return ""
+		})
+		if err == nil {
+			t.Errorf("%s=%s: accepted", c.name, c.value)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.name) || !strings.Contains(msg, c.value) {
+			t.Errorf("%s=%s: error %q does not name the variable and value", c.name, c.value, msg)
+		}
+	}
+}
+
+// TestLoadReportsEnvError: config.Load surfaces a malformed override.
+func TestLoadReportsEnvError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.yaml")
+	if err := os.WriteFile(path, []byte(sampleRecipe), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("DJ_NP", "four")
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "DJ_NP") {
+		t.Fatalf("Load error = %v, want one naming DJ_NP", err)
 	}
 }
 
@@ -298,11 +344,17 @@ func TestAllBuiltinRecipesParseAndValidate(t *testing.T) {
 	}
 }
 
+// TestRecipeAdaptiveKeys: the removed runtime controller's keys are
+// unknown recipe keys now, while target_mem_mb keeps parsing.
 func TestRecipeAdaptiveKeys(t *testing.T) {
+	for _, key := range []string{"adaptive: true", "max_workers: 12"} {
+		_, err := ParseRecipe("project_name: adaptive-keys\n" + key + "\nprocess:\n  - whitespace_normalization_mapper:\n")
+		if err == nil || !strings.Contains(err.Error(), "unknown recipe key") {
+			t.Errorf("%q: error = %v, want unknown recipe key", key, err)
+		}
+	}
 	r, err := ParseRecipe(`
 project_name: adaptive-keys
-adaptive: true
-max_workers: 12
 target_mem_mb: 512
 process:
   - whitespace_normalization_mapper:
@@ -310,21 +362,8 @@ process:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Adaptive || r.MaxWorkers != 12 || r.TargetMemMB != 512 {
-		t.Fatalf("adaptive keys not parsed: %+v", r)
-	}
-}
-
-func TestApplyEnvAdaptive(t *testing.T) {
-	r := Default()
-	env := map[string]string{
-		"DJ_ADAPTIVE":      "true",
-		"DJ_MAX_WORKERS":   "7",
-		"DJ_TARGET_MEM_MB": "128",
-	}
-	r.ApplyEnv(func(k string) string { return env[k] })
-	if !r.Adaptive || r.MaxWorkers != 7 || r.TargetMemMB != 128 {
-		t.Fatalf("env overrides not applied: %+v", r)
+	if r.TargetMemMB != 512 {
+		t.Fatalf("target_mem_mb not parsed: %+v", r)
 	}
 }
 

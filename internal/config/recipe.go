@@ -56,18 +56,20 @@ type Recipe struct {
 	// reordering of commutative filter groups. Off, every run plans
 	// from static cost hints and nothing is persisted.
 	UseProfiles bool
-	// Adaptive enables the streaming engine's runtime controller, which
-	// retunes shard size, worker count and backpressure from live
-	// measurements (djprocess -stream -adaptive).
+	// Adaptive switched on the streaming engine's removed runtime
+	// controller. No recipe key, env var or flag sets it, and
+	// stream.New rejects it. It remains only so the benchmark harness,
+	// which still reads it, compiles; a later benchmark-scoped change
+	// deletes it.
 	Adaptive bool
-	// MaxWorkers caps the adaptive worker pool (0 = max(NP, GOMAXPROCS)).
+	// MaxWorkers capped the removed controller's worker pool. Like
+	// Adaptive, nothing sets it and a later benchmark-scoped change
+	// deletes it.
 	MaxWorkers int
-	// TargetMemMB bounds the text megabytes resident across in-flight
-	// shards in adaptive streaming mode (0 = unbounded). It also caps
-	// the deduplicators' signature/shingle indexes on both backends:
-	// the planner's spill pass hands each dedup op a slice of this
-	// target and the op spills its index to disk when the estimate
-	// exceeds it (see DedupSpill).
+	// TargetMemMB caps the deduplicators' signature/shingle indexes on
+	// both backends (0 = unbounded): the planner's spill pass hands each
+	// dedup op a slice of this target and the op spills its index to
+	// disk when the estimate exceeds it (see DedupSpill).
 	TargetMemMB int
 	// DedupSpill lets deduplicators spill their indexes to budget-
 	// bounded disk runs when TargetMemMB is set. On by default; with no
@@ -138,10 +140,6 @@ func FromMap(m map[string]any) (*Recipe, error) {
 			r.OpFusion, err = asBool(key, v)
 		case "use_profiles":
 			r.UseProfiles, err = asBool(key, v)
-		case "adaptive":
-			r.Adaptive, err = asBool(key, v)
-		case "max_workers":
-			r.MaxWorkers, err = asInt(key, v)
 		case "target_mem_mb":
 			r.TargetMemMB, err = asInt(key, v)
 		case "dedup_spill":
@@ -176,8 +174,8 @@ func FromMap(m map[string]any) (*Recipe, error) {
 var recipeKeys = []string{
 	"project_name", "dataset_path", "sources", "export_path", "np",
 	"text_key", "use_cache", "use_checkpoint", "cache_compression",
-	"op_fusion", "use_profiles", "adaptive", "max_workers",
-	"target_mem_mb", "dedup_spill", "dist_compress",
+	"op_fusion", "use_profiles", "target_mem_mb", "dedup_spill",
+	"dist_compress",
 	"trace", "listen", "journal", "work_dir", "process",
 }
 
@@ -315,7 +313,9 @@ func Load(path string) (*Recipe, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.ApplyEnv(os.Getenv)
+	if err := r.ApplyEnv(os.Getenv); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -330,46 +330,60 @@ func ParseRecipe(src string) (*Recipe, error) {
 
 // ApplyEnv overlays scalar settings from environment variables using the
 // DJ_ prefix (e.g. DJ_NP=8, DJ_USE_CACHE=false, DJ_EXPORT_PATH=out.jsonl).
-// getenv is injected for testability.
-func (r *Recipe) ApplyEnv(getenv func(string) string) {
-	if v := getenv("DJ_NP"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			r.NP = n
+// Bool variables take true/false/1/0 and int variables an integer; any
+// other value is an error naming the variable and the value, never a
+// silent false or an ignored override. getenv is injected for
+// testability.
+func (r *Recipe) ApplyEnv(getenv func(string) string) error {
+	for _, b := range []struct {
+		name string
+		dst  *bool
+	}{
+		{"DJ_USE_CACHE", &r.UseCache},
+		{"DJ_USE_CHECKPOINT", &r.UseCheckpoint},
+		{"DJ_OP_FUSION", &r.OpFusion},
+		{"DJ_USE_PROFILES", &r.UseProfiles},
+		{"DJ_DEDUP_SPILL", &r.DedupSpill},
+		{"DJ_DIST_COMPRESS", &r.DistCompress},
+		{"DJ_JOURNAL", &r.Journal},
+	} {
+		switch v := getenv(b.name); v {
+		case "":
+		case "true", "1":
+			*b.dst = true
+		case "false", "0":
+			*b.dst = false
+		default:
+			return fmt.Errorf("config: %s must be true, false, 1 or 0, got %q", b.name, v)
 		}
 	}
-	if v := getenv("DJ_USE_CACHE"); v != "" {
-		r.UseCache = v == "true" || v == "1"
-	}
-	if v := getenv("DJ_USE_CHECKPOINT"); v != "" {
-		r.UseCheckpoint = v == "true" || v == "1"
-	}
-	if v := getenv("DJ_OP_FUSION"); v != "" {
-		r.OpFusion = v == "true" || v == "1"
-	}
-	if v := getenv("DJ_USE_PROFILES"); v != "" {
-		r.UseProfiles = v == "true" || v == "1"
-	}
-	if v := getenv("DJ_ADAPTIVE"); v != "" {
-		r.Adaptive = v == "true" || v == "1"
-	}
-	if v := getenv("DJ_MAX_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			r.MaxWorkers = n
+	for _, n := range []struct {
+		name string
+		dst  *int
+	}{
+		{"DJ_NP", &r.NP},
+		{"DJ_TARGET_MEM_MB", &r.TargetMemMB},
+	} {
+		if v := getenv(n.name); v != "" {
+			x, err := strconv.Atoi(v)
+			if err != nil {
+				return fmt.Errorf("config: %s must be an integer, got %q", n.name, v)
+			}
+			*n.dst = x
 		}
 	}
-	if v := getenv("DJ_TARGET_MEM_MB"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			r.TargetMemMB = n
+	for _, str := range []struct {
+		name string
+		dst  *string
+	}{
+		{"DJ_EXPORT_PATH", &r.ExportPath},
+		{"DJ_LISTEN", &r.Listen},
+		{"DJ_WORK_DIR", &r.WorkDir},
+		{"DJ_CACHE_COMPRESSION", &r.CacheCompression},
+	} {
+		if v := getenv(str.name); v != "" {
+			*str.dst = v
 		}
-	}
-	if v := getenv("DJ_DEDUP_SPILL"); v != "" {
-		r.DedupSpill = v == "true" || v == "1"
-	}
-	if v := getenv("DJ_DIST_COMPRESS"); v != "" {
-		r.DistCompress = v == "true" || v == "1"
-	}
-	if v := getenv("DJ_EXPORT_PATH"); v != "" {
-		r.ExportPath = v
 	}
 	if v := getenv("DJ_DATASET_PATH"); v != "" {
 		// An explicit input override replaces the recipe's whole input,
@@ -377,18 +391,7 @@ func (r *Recipe) ApplyEnv(getenv func(string) string) {
 		r.DatasetPath = v
 		r.Sources = nil
 	}
-	if v := getenv("DJ_LISTEN"); v != "" {
-		r.Listen = v
-	}
-	if v := getenv("DJ_JOURNAL"); v != "" {
-		r.Journal = v == "true" || v == "1"
-	}
-	if v := getenv("DJ_WORK_DIR"); v != "" {
-		r.WorkDir = v
-	}
-	if v := getenv("DJ_CACHE_COMPRESSION"); v != "" {
-		r.CacheCompression = v
-	}
+	return nil
 }
 
 // Validate checks the recipe for structural problems: unknown operators,

@@ -137,12 +137,14 @@ func TestDatasetSpecFallsBackToPath(t *testing.T) {
 	if got := r.DatasetSpec(); got != "mix:a.jsonl" {
 		t.Fatalf("DatasetSpec = %q, want mix:a.jsonl", got)
 	}
-	r.ApplyEnv(func(k string) string {
+	if err := r.ApplyEnv(func(k string) string {
 		if k == "DJ_DATASET_PATH" {
 			return "override.jsonl"
 		}
 		return ""
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Sources) != 0 || r.DatasetSpec() != "override.jsonl" {
 		t.Fatalf("env override: sources=%v spec=%q", r.Sources, r.DatasetSpec())
 	}

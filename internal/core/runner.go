@@ -15,9 +15,9 @@ import (
 )
 
 // OpObservation is one measured operator application: what went in, what
-// came out, how many text bytes were touched, and how long it took. It is
-// the raw signal an adaptive scheduler needs — wall time yields per-sample
-// cost, Out/In yields selectivity, Bytes yields the memory footprint.
+// came out, how many text bytes were touched, and how long it took: wall
+// time yields per-sample cost, Out/In yields selectivity, Bytes yields
+// the memory footprint. The telemetry instruments consume it.
 type OpObservation struct {
 	Op       ops.OP
 	In, Out  int

@@ -66,10 +66,12 @@ func (s *ProfileSet) Lookup(key string) (StoredProfile, bool) {
 	return *p, true
 }
 
+// profileAlpha is the EWMA smoothing factor Observe folds runs with.
+const profileAlpha = 0.3
+
 // Observe folds one run's measurement of an operator into the set with
-// the same EWMA smoothing the online model uses: recent runs dominate,
-// single outliers do not. Non-positive costs carry no signal and are
-// ignored.
+// EWMA smoothing: recent runs dominate, single outliers do not.
+// Non-positive costs carry no signal and are ignored.
 func (s *ProfileSet) Observe(key, name string, costNS, selectivity float64) {
 	if costNS <= 0 || selectivity < 0 {
 		return
@@ -83,8 +85,8 @@ func (s *ProfileSet) Observe(key, name string, costNS, selectivity float64) {
 		return
 	}
 	p.Runs++
-	p.CostNSPerSample = DefaultAlpha*costNS + (1-DefaultAlpha)*p.CostNSPerSample
-	p.Selectivity = DefaultAlpha*selectivity + (1-DefaultAlpha)*p.Selectivity
+	p.CostNSPerSample = profileAlpha*costNS + (1-profileAlpha)*p.CostNSPerSample
+	p.Selectivity = profileAlpha*selectivity + (1-profileAlpha)*p.Selectivity
 }
 
 // Export returns the stored profiles in deterministic key order, for

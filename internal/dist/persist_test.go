@@ -49,7 +49,7 @@ func TestProfileSetObserveFoldsEWMA(t *testing.T) {
 	if p.Runs != 2 {
 		t.Fatalf("runs = %d", p.Runs)
 	}
-	wantCost := DefaultAlpha*2000 + (1-DefaultAlpha)*1000
+	wantCost := profileAlpha*2000 + (1-profileAlpha)*1000
 	if diff := p.CostNSPerSample - wantCost; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("cost = %v, want %v", p.CostNSPerSample, wantCost)
 	}

@@ -139,12 +139,6 @@ func (p *phaseRun) runLocalDispatch(st stage, d *dataset.Dataset, useCache bool,
 		li := f.PlanIdx - st.planIdx[0]
 		dur := time.Duration(f.DurNS)
 		p.agg.addOp(f.PlanIdx, int(f.In), int(f.Out), dur, dur, false, 1)
-		if e.ctrl != nil {
-			e.ctrl.ObserveOp(core.OpObservation{
-				Op: st.ops[li], In: int(f.In), Out: int(f.Out),
-				Bytes: f.Bytes, Duration: dur,
-			})
-		}
 		if e.tele != nil {
 			e.tele.Op(f.PlanIdx).Observe(int(f.In), int(f.Out), f.Bytes, dur)
 			e.tele.Emit(telemetry.Event{

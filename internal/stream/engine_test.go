@@ -371,6 +371,22 @@ process:
 	}
 }
 
+// TestNewRejectsRemovedControllerOptions: the runtime controller is
+// gone, so its two options fail loudly instead of being ignored.
+func TestNewRejectsRemovedControllerOptions(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"adaptive":    {Adaptive: true},
+		"max workers": {MaxWorkers: 4},
+	} {
+		r := mustRecipe(t, equivalenceRecipe)
+		r.WorkDir = t.TempDir()
+		_, err := New(r, opts)
+		if err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("%s: New error = %v, want one naming the removal", name, err)
+		}
+	}
+}
+
 // TestPassthroughAndEmptyInput: a plan whose ops keep everything is a
 // pure copy-through, and an empty source emits nothing without error.
 func TestPassthroughAndEmptyInput(t *testing.T) {

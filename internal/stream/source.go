@@ -25,16 +25,6 @@ type Source interface {
 	Close() error
 }
 
-// ShardSizer is implemented by sources whose shard size may change
-// between reads. The adaptive controller uses it to re-slice the input as
-// its cost model sharpens; sources without it simply keep their original
-// granularity.
-type ShardSizer interface {
-	// SetShardSize changes the sample count of subsequently read shards.
-	// Non-positive sizes are ignored.
-	SetShardSize(n int)
-}
-
 // SampleSource slices a format.Source — the unified incremental reader
 // behind every input spec (jsonl/json/csv/tsv/txt/md/html/code files,
 // gzip variants, directories, globs, hub: corpora, mix: mixtures) — into
@@ -108,14 +98,6 @@ func (ss *SampleSource) Next() (*Shard, error) {
 	return sh, nil
 }
 
-// SetShardSize implements ShardSizer: later shards slice the sample
-// stream at the new granularity.
-func (ss *SampleSource) SetShardSize(n int) {
-	if n > 0 {
-		ss.shardSize = n
-	}
-}
-
 // Close closes the underlying reader.
 func (ss *SampleSource) Close() error { return ss.src.Close() }
 
@@ -150,13 +132,6 @@ func (ds *DatasetSource) Next() (*Shard, error) {
 	ds.pos = hi
 	ds.next++
 	return sh, nil
-}
-
-// SetShardSize implements ShardSizer.
-func (ds *DatasetSource) SetShardSize(n int) {
-	if n > 0 {
-		ds.shardSize = n
-	}
 }
 
 // Close is a no-op for in-memory sources.

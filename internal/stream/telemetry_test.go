@@ -165,3 +165,31 @@ func TestStreamJournalShape(t *testing.T) {
 		t.Errorf("missing shard spans (%d) or op completions (%d)", shardEnds, opCompletes)
 	}
 }
+
+// TestStreamControlsPublishPipelineShape: the controls gauges carry the
+// run's fixed pipeline shape and its configured memory target.
+func TestStreamControlsPublishPipelineShape(t *testing.T) {
+	input, _ := corpusWithDupes(t, 60)
+	recipe := mustRecipe(t, equivalenceRecipe)
+	recipe.WorkDir = t.TempDir()
+	recipe.NP = 3
+	tele, err := telemetry.NewRun(telemetry.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(recipe, Options{ShardSize: 16, MaxInFlight: 5, TargetMemBytes: 1 << 20, Telemetry: tele})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenSource(input, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(src, DiscardSink{}); err != nil {
+		t.Fatal(err)
+	}
+	c := tele.Snapshot().Controls
+	if c == nil || c.Workers != 3 || c.ShardSize != 16 || c.MaxInFlight != 5 || c.TargetMemBytes != 1<<20 {
+		t.Fatalf("controls = %+v, want workers=3 shard=16 in-flight=5 target=%d", c, 1<<20)
+	}
+}

@@ -26,18 +26,23 @@ const SchemaVersion = 4
 // Journal event types. Every line in a journal file is one Event whose
 // Type is one of these constants.
 const (
-	EvRunStart         = "run_start"
-	EvPlan             = "plan"
-	EvPhase            = "phase"
-	EvSpanStart        = "span_start"
-	EvSpanEnd          = "span_end"
-	EvOpComplete       = "op_complete"
+	EvRunStart   = "run_start"
+	EvPlan       = "plan"
+	EvPhase      = "phase"
+	EvSpanStart  = "span_start"
+	EvSpanEnd    = "span_end"
+	EvOpComplete = "op_complete"
+	EvCacheHit   = "cache_hit"
+	EvSpill      = "spill"
+	EvTrace      = "trace"
+	EvExport     = "export"
+	EvRunEnd     = "run_end"
+
+	// EvControllerReplan recorded one decision of the streaming engine's
+	// runtime controller, which has been removed. Nothing emits it any
+	// more; it stays in schema v4 so older journals still validate and
+	// render.
 	EvControllerReplan = "controller_replan"
-	EvCacheHit         = "cache_hit"
-	EvSpill            = "spill"
-	EvTrace            = "trace"
-	EvExport           = "export"
-	EvRunEnd           = "run_end"
 
 	// Distributed-runtime events (schema v2). worker_start records one
 	// djworker joining the run; worker_retry records one failed stage

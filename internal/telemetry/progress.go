@@ -36,15 +36,14 @@ type Progress struct {
 	ETANS      int64        `json:"eta_ns,omitempty"`
 	Ops        []OpProgress `json:"ops"`
 	Controls   *Controls    `json:"controls,omitempty"`
-	Extra      any          `json:"extra,omitempty"`
 }
 
-// Controls mirrors the controller gauges.
+// Controls mirrors the streaming pipeline's gauges: its fixed shape
+// plus the reader's backpressure stalls so far.
 type Controls struct {
 	Workers            int   `json:"workers"`
 	ShardSize          int   `json:"shard_size"`
 	MaxInFlight        int   `json:"max_in_flight"`
-	EstInflightBytes   int64 `json:"est_inflight_bytes,omitempty"`
 	TargetMemBytes     int64 `json:"target_mem_bytes,omitempty"`
 	BackpressureWaits  int64 `json:"backpressure_waits,omitempty"`
 	BackpressureWaitNS int64 `json:"backpressure_wait_ns,omitempty"`
@@ -99,19 +98,12 @@ func (r *Run) Snapshot() *Progress {
 			Workers:            int(w),
 			ShardSize:          int(r.shardSize.Value()),
 			MaxInFlight:        int(r.maxInFlight.Value()),
-			EstInflightBytes:   r.estMem.Value(),
 			TargetMemBytes:     r.targetMem.Value(),
 			BackpressureWaits:  r.bpWaits.Value(),
 			BackpressureWaitNS: r.bpWaitNs.Value(),
 		}
 	}
 	p.Fraction, p.ETANS = r.estimate(p.Ops, elapsed)
-	r.extraMu.Lock()
-	extra := r.extra
-	r.extraMu.Unlock()
-	if extra != nil {
-		p.Extra = extra()
-	}
 	return p
 }
 

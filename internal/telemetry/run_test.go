@@ -156,23 +156,23 @@ func TestSnapshotETA(t *testing.T) {
 	}
 }
 
-func TestSnapshotControlsAndExtra(t *testing.T) {
+func TestSnapshotControls(t *testing.T) {
 	r, err := NewRun(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetControls(4, 512, 8, 1<<20, 64<<20)
+	r.SetControls(4, 512, 8, 64<<20)
 	r.ObserveBackpressure(5 * time.Millisecond)
-	r.SetProgressExtra(func() any { return map[string]int{"gen": 3} })
 	p := r.Snapshot()
-	if p.Controls == nil || p.Controls.Workers != 4 || p.Controls.TargetMemBytes != 64<<20 {
-		t.Fatalf("controls wrong: %+v", p.Controls)
+	want := Controls{
+		Workers: 4, ShardSize: 512, MaxInFlight: 8, TargetMemBytes: 64 << 20,
+		BackpressureWaits: 1, BackpressureWaitNS: int64(5 * time.Millisecond),
 	}
-	if p.Controls.BackpressureWaits != 1 || p.Controls.BackpressureWaitNS != int64(5*time.Millisecond) {
-		t.Errorf("backpressure wrong: %+v", p.Controls)
+	if p.Controls == nil || *p.Controls != want {
+		t.Fatalf("controls = %+v, want %+v", p.Controls, want)
 	}
-	if p.Extra == nil {
-		t.Error("extra section missing")
+	if got := r.Reg.Gauge("dj_target_mem_bytes", "").Value(); got != 64<<20 {
+		t.Errorf("dj_target_mem_bytes = %d, want %d", got, 64<<20)
 	}
 }
 
