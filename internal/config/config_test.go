@@ -249,6 +249,24 @@ func TestApplyEnv(t *testing.T) {
 	}
 }
 
+// TestApplyEnvAdaptive: DJ_ADAPTIVE and DJ_MAX_WORKERS belonged to the
+// removed runtime controller and no longer set anything, while
+// DJ_TARGET_MEM_MB still applies.
+func TestApplyEnvAdaptive(t *testing.T) {
+	r := Default()
+	env := map[string]string{
+		"DJ_ADAPTIVE":      "true",
+		"DJ_MAX_WORKERS":   "7",
+		"DJ_TARGET_MEM_MB": "128",
+	}
+	if err := r.ApplyEnv(func(k string) string { return env[k] }); err != nil {
+		t.Fatal(err)
+	}
+	if r.Adaptive || r.MaxWorkers != 0 || r.TargetMemMB != 128 {
+		t.Fatalf("env overrides: %+v", r)
+	}
+}
+
 // TestApplyEnvRejectsMalformed: a bool variable takes only
 // true/false/1/0 and an int variable only an integer; anything else is
 // an error naming the variable and its value, not a silent false or an

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"sort"
+	"syscall"
 	"time"
 
 	"repro/internal/baseline"
@@ -213,7 +215,8 @@ process:
       max_ppl: 1000000
 `
 
-// Fig9Row is one dataset-size measurement.
+// Fig9Row is one dataset-size measurement. The durations are process
+// CPU time, user plus system, summed over the np workers.
 type Fig9Row struct {
 	Label          string
 	NP             int
@@ -224,6 +227,19 @@ type Fig9Row struct {
 	FusibleFused   time.Duration
 }
 
+// fig9Repeats is how many timed runs each Fig9 arm takes the median of.
+const fig9Repeats = 11
+
+// processCPU returns the CPU time, user plus system, this process has
+// used so far.
+func processCPU() (time.Duration, error) {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0, err
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()), nil
+}
+
 // Fig9Result reproduces the OP-fusion experiment.
 type Fig9Result struct {
 	Rows   []Fig9Row
@@ -231,7 +247,7 @@ type Fig9Result struct {
 }
 
 // Fig9 reproduces Figure 9 through the unified planner: total pipeline
-// time and fusible-only time, with and without OP fusion, across dataset
+// CPU time and fusible-only CPU time, with and without OP fusion, across dataset
 // sizes — plus a third series where the planner orders the commutative
 // filter groups from measured cost × selectivity (the profile sidecar a
 // priming run persisted) instead of static hints. Expected shape: fusion
@@ -250,73 +266,100 @@ func Fig9(s Scale, np int) (*Fig9Result, error) {
 		{"medium", s.PerfDocs[1]},
 		{"large", s.PerfDocs[2]},
 	}
-	// run times the recipe with min-of-three repeats: robust against
-	// scheduler noise from other processes (the shape, not a single
-	// sample, is the result). With profiled=false planning is pinned to
-	// static hints; with profiled=true a priming run persists measured
-	// profiles into a fresh work dir and every timed executor replans
-	// from them.
-	run := func(yaml string, fusion, profiled bool, d *dataset.Dataset) (time.Duration, error) {
-		r, err := config.ParseRecipe(yaml)
+	// arm is one timed configuration of a row. With profiled=false
+	// planning is pinned to static hints; with profiled=true a priming
+	// run persists measured profiles into a fresh work dir and every
+	// timed executor replans from them.
+	type arm struct {
+		yaml             string
+		fusion, profiled bool
+		dst              *time.Duration
+		recipe           *config.Recipe
+		samples          []time.Duration
+	}
+	// An arm's time is the median process CPU time of fig9Repeats runs,
+	// and the repeats go round-robin across the row's arms. CPU time
+	// counts the work an arm does; wall clock on a shared machine also
+	// counts whatever a neighbouring process takes from the cores, which
+	// at millisecond scale buries the difference fusion makes. Going
+	// round-robin spreads what load remains (cache and memory-bandwidth
+	// contention) over every arm alike (the shape, not a single sample,
+	// is the result).
+	planDir, err := os.MkdirTemp("", "dj-fig9-planned-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(planDir)
+	prepare := func(a *arm, d *dataset.Dataset) error {
+		r, err := config.ParseRecipe(a.yaml)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		r.UseCache = false
-		r.OpFusion = fusion
-		r.UseProfiles = profiled
+		r.OpFusion = a.fusion
+		r.UseProfiles = a.profiled
 		r.NP = np
 		r.WorkDir = os.TempDir()
-		if profiled {
-			workDir, err := os.MkdirTemp("", "dj-fig9-planned-*")
-			if err != nil {
-				return 0, err
+		if a.profiled {
+			if r.WorkDir, err = os.MkdirTemp(planDir, "row-*"); err != nil {
+				return err
 			}
-			defer os.RemoveAll(workDir)
-			r.WorkDir = workDir
 			prime, err := core.NewExecutor(r)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			if _, _, err := prime.Run(d.Clone()); err != nil {
-				return 0, err
+				return err
 			}
 		}
-		best := time.Duration(0)
-		for rep := 0; rep < 3; rep++ {
-			exec, err := core.NewExecutor(r)
-			if err != nil {
-				return 0, err
-			}
-			start := time.Now()
-			if _, _, err := exec.Run(d.Clone()); err != nil {
-				return 0, err
-			}
-			el := time.Since(start)
-			if best == 0 || el < best {
-				best = el
-			}
+		a.recipe = r
+		return nil
+	}
+	timeOnce := func(a *arm, d *dataset.Dataset) error {
+		exec, err := core.NewExecutor(a.recipe)
+		if err != nil {
+			return err
 		}
-		return best, nil
+		start, err := processCPU()
+		if err != nil {
+			return err
+		}
+		if _, _, err := exec.Run(d.Clone()); err != nil {
+			return err
+		}
+		end, err := processCPU()
+		if err != nil {
+			return err
+		}
+		a.samples = append(a.samples, end-start)
+		return nil
 	}
 	res := &Fig9Result{}
 	for _, size := range sizes {
 		base := rawSource("c4", size.docs, s.Seed+95)
 		row := Fig9Row{Label: size.label, NP: np}
-		var err error
-		if row.AllUnfused, err = run(fig9RecipeYAML, false, false, base.Clone()); err != nil {
-			return nil, err
+		arms := []*arm{
+			{yaml: fig9RecipeYAML, dst: &row.AllUnfused},
+			{yaml: fig9RecipeYAML, fusion: true, dst: &row.AllFused},
+			{yaml: fig9RecipeYAML, fusion: true, profiled: true, dst: &row.AllPlanned},
+			{yaml: fig9FusibleYAML, dst: &row.FusibleUnfused},
+			{yaml: fig9FusibleYAML, fusion: true, dst: &row.FusibleFused},
 		}
-		if row.AllFused, err = run(fig9RecipeYAML, true, false, base.Clone()); err != nil {
-			return nil, err
+		for _, a := range arms {
+			if err := prepare(a, base); err != nil {
+				return nil, err
+			}
 		}
-		if row.AllPlanned, err = run(fig9RecipeYAML, true, true, base.Clone()); err != nil {
-			return nil, err
+		for rep := 0; rep < fig9Repeats; rep++ {
+			for _, a := range arms {
+				if err := timeOnce(a, base); err != nil {
+					return nil, err
+				}
+			}
 		}
-		if row.FusibleUnfused, err = run(fig9FusibleYAML, false, false, base.Clone()); err != nil {
-			return nil, err
-		}
-		if row.FusibleFused, err = run(fig9FusibleYAML, true, false, base.Clone()); err != nil {
-			return nil, err
+		for _, a := range arms {
+			sort.Slice(a.samples, func(i, j int) bool { return a.samples[i] < a.samples[j] })
+			*a.dst = a.samples[len(a.samples)/2]
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -338,7 +381,7 @@ func Fig9(s Scale, np int) (*Fig9Result, error) {
 		})
 	}
 	res.Render = "Figure 9 — OP fusion and reordering effect (unified planner)\n" +
-		table([]string{"dataset", "np", "all unfused", "all fused", "saved", "all planned", "saved", "fusible unfused", "fusible fused", "saved"}, rows)
+		table([]string{"dataset", "np", "all unfused cpu", "all fused cpu", "saved", "all planned cpu", "saved", "fusible unfused cpu", "fusible fused cpu", "saved"}, rows)
 	return res, nil
 }
 
