@@ -71,7 +71,6 @@ func main() {
 		streamMode  = flag.Bool("stream", false, "use the shard-pipelined streaming engine (bounded memory)")
 		shardSize   = flag.Int("shard-size", stream.DefaultShardSize, "samples per shard in -stream mode")
 		targetMemMB = flag.Int("target-mem-mb", 0, "memory target in MB: bounds dedup index memory via disk spilling, on both backends (0 = unbounded)")
-		noSpill     = flag.Bool("no-dedup-spill", false, "keep dedup indexes fully in memory even when -target-mem-mb is set")
 		showPlan    = flag.Bool("plan", false, "print the fused execution plan before running")
 		explain     = flag.Bool("explain", false, "print the optimized plan — per-op predicted cost, selectivity, capability class, and per-pass provenance — and exit without running")
 		probe       = flag.Bool("probe", false, "print before/after data probes (analyzer; batch mode only)")
@@ -146,9 +145,6 @@ func main() {
 	}
 	if *targetMemMB != 0 {
 		recipe.TargetMemMB = *targetMemMB
-	}
-	if *noSpill {
-		recipe.DedupSpill = false
 	}
 	if *distComp {
 		recipe.DistCompress = true

@@ -186,6 +186,48 @@ func TestRecipeValidateEmpty(t *testing.T) {
 	}
 }
 
+// TestRecipeValidateRejectsNegative: a negative np or target_mem_mb is
+// an error naming the key and the value, whether it came from the recipe
+// or the environment — never a silent "all cores" or "no target".
+func TestRecipeValidateRejectsNegative(t *testing.T) {
+	const body = "process:\n  - whitespace_normalization_mapper:\n"
+	for _, c := range []struct {
+		name, yaml string
+		env        map[string]string
+		key, value string
+	}{
+		{"np recipe", "np: -4\n", nil, "np", "-4"},
+		{"np env", "", map[string]string{"DJ_NP": "-4"}, "np", "-4"},
+		{"target recipe", "target_mem_mb: -1\n", nil, "target_mem_mb", "-1"},
+		{"target env", "", map[string]string{"DJ_TARGET_MEM_MB": "-1"}, "target_mem_mb", "-1"},
+		{"both", "np: -2\ntarget_mem_mb: -3\n", nil, "np", "-2"},
+	} {
+		r, err := ParseRecipe(c.yaml + body)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := r.ApplyEnv(func(k string) string { return c.env[k] }); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		err = r.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted, want an error", c.name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.key+" ") || !strings.Contains(msg, c.value) {
+			t.Errorf("%s: error %q does not name key %s and value %s", c.name, msg, c.key, c.value)
+		}
+	}
+	// Zero keeps its meaning: all cores, no memory target.
+	r, err := ParseRecipe("np: 0\ntarget_mem_mb: 0\n" + body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatalf("zero np / target_mem_mb rejected: %v", err)
+	}
+}
+
 func TestRecipeBuildOps(t *testing.T) {
 	r, err := ParseRecipe(sampleRecipe)
 	if err != nil {

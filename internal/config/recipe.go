@@ -68,13 +68,9 @@ type Recipe struct {
 	MaxWorkers int
 	// TargetMemMB caps the deduplicators' signature/shingle indexes on
 	// both backends (0 = unbounded): the planner's spill pass hands each
-	// dedup op a slice of this target and the op spills its index to
-	// disk when the estimate exceeds it (see DedupSpill).
+	// dedup op a slice of this target and the op's index structures
+	// spill to disk when they outgrow it.
 	TargetMemMB int
-	// DedupSpill lets deduplicators spill their indexes to budget-
-	// bounded disk runs when TargetMemMB is set. On by default; with no
-	// TargetMemMB it has no effect.
-	DedupSpill bool
 	// DistCompress enables lzj compression of the frames exchanged with
 	// djworker fleets over the dispatch wire (djprocess -dist-compress,
 	// recipe key dist_compress). Off by default: loopback fleets are
@@ -104,7 +100,6 @@ func Default() *Recipe {
 		UseCache:    true,
 		OpFusion:    true,
 		UseProfiles: true,
-		DedupSpill:  true,
 		EnableTrace: false,
 		Journal:     true,
 		WorkDir:     ".data-juicer",
@@ -142,8 +137,6 @@ func FromMap(m map[string]any) (*Recipe, error) {
 			r.UseProfiles, err = asBool(key, v)
 		case "target_mem_mb":
 			r.TargetMemMB, err = asInt(key, v)
-		case "dedup_spill":
-			r.DedupSpill, err = asBool(key, v)
 		case "dist_compress":
 			r.DistCompress, err = asBool(key, v)
 		case "trace":
@@ -174,7 +167,7 @@ func FromMap(m map[string]any) (*Recipe, error) {
 var recipeKeys = []string{
 	"project_name", "dataset_path", "sources", "export_path", "np",
 	"text_key", "use_cache", "use_checkpoint", "cache_compression",
-	"op_fusion", "use_profiles", "target_mem_mb", "dedup_spill",
+	"op_fusion", "use_profiles", "target_mem_mb",
 	"dist_compress",
 	"trace", "listen", "journal", "work_dir", "process",
 }
@@ -343,7 +336,6 @@ func (r *Recipe) ApplyEnv(getenv func(string) string) error {
 		{"DJ_USE_CHECKPOINT", &r.UseCheckpoint},
 		{"DJ_OP_FUSION", &r.OpFusion},
 		{"DJ_USE_PROFILES", &r.UseProfiles},
-		{"DJ_DEDUP_SPILL", &r.DedupSpill},
 		{"DJ_DIST_COMPRESS", &r.DistCompress},
 		{"DJ_JOURNAL", &r.Journal},
 	} {
@@ -395,11 +387,19 @@ func (r *Recipe) ApplyEnv(getenv func(string) string) error {
 }
 
 // Validate checks the recipe for structural problems: unknown operators,
-// empty process lists, and malformed source entries are reported before
-// any data is touched.
+// empty process lists, malformed source entries and negative counts are
+// reported before any data is touched.
 func (r *Recipe) Validate() error {
 	if len(r.Process) == 0 {
 		return fmt.Errorf("config: recipe has an empty process list")
+	}
+	for _, n := range []struct {
+		key string
+		v   int
+	}{{"np", r.NP}, {"target_mem_mb", r.TargetMemMB}} {
+		if n.v < 0 {
+			return fmt.Errorf("config: %s must be >= 0, got %d", n.key, n.v)
+		}
 	}
 	for i, ws := range r.Sources {
 		// Sources travel to both backends as an encoded "mix:" string;

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"syscall"
 	"time"
@@ -320,6 +321,11 @@ func Fig9(s Scale, np int) (*Fig9Result, error) {
 		if err != nil {
 			return err
 		}
+		// Collect the previous run's garbage outside the timed window:
+		// otherwise the background GC it triggers is charged to this
+		// arm, and the arm after the most wasteful one (the fused arm
+		// follows the unfused one) pays for it.
+		runtime.GC()
 		start, err := processCPU()
 		if err != nil {
 			return err

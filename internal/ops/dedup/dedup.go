@@ -18,10 +18,11 @@ import (
 	"repro/internal/text"
 )
 
-// spillState is embedded by every deduplicator to satisfy ops.Spiller:
-// the planner hands each dedup node a slice of the -target-mem-mb budget
-// and the op switches to its disk-backed path when the estimated index
-// footprint exceeds it.
+// spillState is embedded by every deduplicator to satisfy ops.Spiller.
+// Each deduplicator has one index path built on internal/spill: the
+// planner hands each dedup node a slice of the -target-mem-mb budget and
+// the index structures spill to disk when they outgrow it; with no
+// budget the same structures stay in memory.
 type spillState struct {
 	spec  ops.SpillSpec
 	stats ops.SpillStats
@@ -31,10 +32,14 @@ func (s *spillState) ConfigureSpill(spec ops.SpillSpec) { s.spec = spec }
 
 func (s *spillState) SpillStats() ops.SpillStats { return s.stats }
 
-// spillEngaged decides whether the disk-backed path should run for an
-// estimated in-memory index of estBytes.
-func (s *spillState) spillEngaged(estBytes int64) bool {
-	return s.spec.Dir != "" && s.spec.BudgetBytes > 0 && estBytes > s.spec.BudgetBytes
+// budget returns the share 1/div of the op's spill budget for one index
+// structure: 0 (unbounded, in memory) without a spill directory or
+// budget, and never less than 1 byte when a budget is set.
+func (s *spillState) budget(div int64) int64 {
+	if s.spec.Dir == "" || s.spec.BudgetBytes <= 0 {
+		return 0
+	}
+	return max(s.spec.BudgetBytes/div, 1)
 }
 
 // record captures the spill structures' accounting for telemetry.
@@ -42,15 +47,15 @@ func (s *spillState) record(st spill.Stats) {
 	s.stats = ops.SpillStats{Spilled: st.Runs > 0, Runs: st.Runs, SpilledBytes: st.Bytes}
 }
 
-// verifyMembers checks every candidate pair in one bucket, consulting
-// the union-find roots before the similarity verify so already-merged
-// pairs are never re-checked. This replaces the old per-run checked-pair
-// map, which grew O(n^2) on duplicate-heavy corpora — the exact inputs
-// dedup exists for.
-func verifyMembers(uf *unionFind, members []int, verify func(i, j int) bool) {
-	for x := 0; x < len(members); x++ {
-		for y := x + 1; y < len(members); y++ {
-			i, j := members[x], members[y]
+// verifyGroup checks every candidate pair in one bucket (records whose
+// values are document indexes, ascending), consulting the union-find
+// roots before the similarity verify so already-merged pairs are never
+// re-checked. This replaces the old per-run checked-pair map, which grew
+// O(n^2) on duplicate-heavy corpora — the exact inputs dedup exists for.
+func verifyGroup(uf *unionFind, group []spill.Pair, verify func(i, j int) bool) {
+	for x := 0; x < len(group); x++ {
+		for y := x + 1; y < len(group); y++ {
+			i, j := int(group[x].V), int(group[y].V)
 			if uf.find(i) == uf.find(j) {
 				continue
 			}
@@ -87,31 +92,30 @@ func mergeFeatureless(ds *dataset.Dataset, textKey string, featureless func(int)
 	}
 }
 
-// forEachGroup walks runs of equal keys in (key, value)-sorted spill
-// records, handing each multi-member run's document indexes (ascending)
-// to fn. The members scratch is reused across groups.
-func forEachGroup(pairs []spill.Pair, members *[]int, fn func(members []int)) {
-	for s := 0; s < len(pairs); {
-		e := s + 1
-		for e < len(pairs) && pairs[e].K == pairs[s].K {
-			e++
-		}
-		if e-s >= 2 {
-			m := (*members)[:0]
-			for _, p := range pairs[s:e] {
-				m = append(m, int(p.V))
+// forEachBucket visits the bucket table one partition at a time and
+// hands each run of two or more equal keys — one candidate group, in
+// ascending value order — to fn. fn must not retain the group.
+func forEachBucket(lsh *spill.LSH, fn func(group []spill.Pair)) error {
+	return lsh.ForEachPartition(func(pairs []spill.Pair) error {
+		for s := 0; s < len(pairs); {
+			e := s + 1
+			for e < len(pairs) && pairs[e].K == pairs[s].K {
+				e++
 			}
-			*members = m
-			fn(m)
+			if e-s >= 2 {
+				fn(pairs[s:e])
+			}
+			s = e
 		}
-		s = e
-	}
+		return nil
+	})
 }
 
-// featCache is a byte-bounded FIFO cache for per-document features
-// recomputed on the spilled verification path (shingle sets, TF
-// vectors). Loaders are pure, so hits versus misses never change
-// results — eviction order only affects speed.
+// featCache is a FIFO cache for per-document features recomputed on the
+// verification path (shingle sets, TF vectors). It holds at most budget
+// bytes (floor 64 KiB); a budget <= 0 keeps every feature it loads.
+// Loaders are pure, so hits versus misses never change results —
+// eviction order only affects speed.
 type featCache[T any] struct {
 	budget int64
 	used   int64
@@ -123,8 +127,8 @@ type featCache[T any] struct {
 }
 
 func newFeatCache[T any](budget int64, load func(int) T, size func(T) int64) *featCache[T] {
-	if budget < 1<<16 {
-		budget = 1 << 16
+	if budget > 0 {
+		budget = max(budget, 1<<16)
 	}
 	return &featCache[T]{budget: budget, m: make(map[int]T), load: load, size: size}
 }
@@ -135,6 +139,9 @@ func (c *featCache[T]) get(i int) T {
 	}
 	v := c.load(i)
 	c.m[i] = v
+	if c.budget <= 0 {
+		return v
+	}
 	c.used += c.size(v)
 	c.order = append(c.order, i)
 	for c.used > c.budget && c.head < len(c.order) {

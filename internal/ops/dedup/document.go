@@ -45,42 +45,12 @@ var (
 	_ ops.Spiller       = (*documentDedup)(nil)
 )
 
-// hashEntryBytes estimates the resident cost of one signature in the
-// in-memory first-occurrence map (bucket slot plus overhead).
-const hashEntryBytes = 48
-
+// Dedup streams (hash, index) records into sorted runs, bounded by the
+// op's spill budget (in memory without one); the k-way merge then visits
+// each hash group in ascending index order, so the first record of a
+// group is its cluster's kept representative.
 func (d *documentDedup) Dedup(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops.DupPair, error) {
-	if d.spillEngaged(int64(ds.Len()) * hashEntryBytes) {
-		return d.dedupSpilled(ds, np)
-	}
-	hashes := make([]uint64, ds.Len())
-	err := ds.MapIndexed(np, func(i int, s *sample.Sample) error {
-		hashes[i] = d.Signature(s)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	uf := newUnionFind(ds.Len())
-	first := make(map[uint64]int, ds.Len())
-	for i, h := range hashes {
-		if j, ok := first[h]; ok {
-			uf.union(j, i)
-			continue
-		}
-		first[h] = i
-	}
-	kept, pairs := collapse(ds, uf)
-	d.record(spill.Stats{})
-	return kept, pairs, nil
-}
-
-// dedupSpilled is the external-memory path: (hash, index) records flow
-// into budget-bounded sorted runs; the k-way merge then visits each hash
-// group in ascending index order, so the first record of a group is its
-// cluster's kept representative — identical output to the in-memory map.
-func (d *documentDedup) dedupSpilled(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops.DupPair, error) {
-	runs := spill.NewSortedRuns(d.spec.Dir, d.spec.BudgetBytes)
+	runs := spill.NewSortedRuns(d.spec.Dir, d.budget(1))
 	defer runs.Close()
 	var mu sync.Mutex
 	err := ds.MapIndexed(np, func(i int, s *sample.Sample) error {

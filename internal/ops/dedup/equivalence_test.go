@@ -2,6 +2,8 @@ package dedup
 
 import (
 	"hash/fnv"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -240,8 +242,164 @@ func TestDocumentDedupPairsMatchReference(t *testing.T) {
 	}
 }
 
+// The oracles below are resident-map implementations of each
+// deduplicator: every feature stays in memory and candidates come from
+// per-band (per-chunk, per-signature) hash maps. They share only the
+// features (signatures, fingerprints, vectors), the union-find,
+// mergeFeatureless and collapse with the shipped index path, so a defect
+// in the bucket table, the sorted runs or the feature cache shows as a
+// divergence.
+
+// verifyMembers is the oracles' bucket check: every pair of members not
+// already in one cluster is verified.
+func verifyMembers(uf *unionFind, members []int, verify func(i, j int) bool) {
+	for x := 0; x < len(members); x++ {
+		for y := x + 1; y < len(members); y++ {
+			i, j := members[x], members[y]
+			if uf.find(i) != uf.find(j) && verify(i, j) {
+				uf.union(i, j)
+			}
+		}
+	}
+}
+
+func oracleDocument(d *documentDedup, ds *dataset.Dataset) (*dataset.Dataset, []ops.DupPair) {
+	uf := newUnionFind(ds.Len())
+	first := make(map[uint64]int, ds.Len())
+	for i, s := range ds.Samples {
+		h := d.Signature(s)
+		if j, ok := first[h]; ok {
+			uf.union(j, i)
+			continue
+		}
+		first[h] = i
+	}
+	return collapse(ds, uf)
+}
+
+func oracleMinhash(d *minhashDedup, ds *dataset.Dataset) (*dataset.Dataset, []ops.DupPair) {
+	n := ds.Len()
+	shingleSets := make([][]uint64, n)
+	signatures := make([][]uint64, n)
+	for i, s := range ds.Samples {
+		t, _ := s.GetString(d.textKey)
+		shingleSets[i] = wordShingles(t, d.shingle)
+		if len(shingleSets[i]) > 0 {
+			signatures[i] = d.signature(shingleSets[i])
+		}
+	}
+	uf := newUnionFind(n)
+	verify := func(i, j int) bool {
+		return jaccard(shingleSets[i], shingleSets[j]) >= d.threshold
+	}
+	for b := 0; b < d.bands; b++ {
+		buckets := make(map[uint64][]int)
+		for i := 0; i < n; i++ {
+			if len(shingleSets[i]) == 0 {
+				continue
+			}
+			h := d.bandKey(signatures[i], b)
+			buckets[h] = append(buckets[h], i)
+		}
+		for _, members := range buckets {
+			verifyMembers(uf, members, verify)
+		}
+	}
+	mergeFeatureless(ds, d.textKey, func(i int) bool { return len(shingleSets[i]) == 0 }, uf)
+	return collapse(ds, uf)
+}
+
+func oracleSimhash(d *simhashDedup, ds *dataset.Dataset) (*dataset.Dataset, []ops.DupPair) {
+	n := ds.Len()
+	fps := make([]uint64, n)
+	valid := make([]bool, n)
+	for i, s := range ds.Samples {
+		t, _ := s.GetString(d.textKey)
+		fps[i], valid[i] = d.fingerprint(t)
+	}
+	uf := newUnionFind(n)
+	verify := func(i, j int) bool {
+		return hamming(fps[i], fps[j]) <= d.maxDistance
+	}
+	for chunk := 0; chunk < 4; chunk++ {
+		buckets := make(map[uint64][]int)
+		for i := 0; i < n; i++ {
+			if valid[i] {
+				key := chunkKey(fps[i], chunk)
+				buckets[key] = append(buckets[key], i)
+			}
+		}
+		for _, members := range buckets {
+			verifyMembers(uf, members, verify)
+		}
+	}
+	mergeFeatureless(ds, d.textKey, func(i int) bool { return !valid[i] }, uf)
+	return collapse(ds, uf)
+}
+
+func oracleVector(d *vectorDedup, ds *dataset.Dataset) (*dataset.Dataset, []ops.DupPair) {
+	n := ds.Len()
+	vecs := make([][]float64, n)
+	sigs := make([]uint32, n)
+	empty := make([]bool, n)
+	buckets := make(map[uint32][]int)
+	for i, s := range ds.Samples {
+		t, _ := s.GetString(d.textKey)
+		var ok bool
+		vecs[i], ok = d.vectorize(t)
+		sigs[i] = d.planeSignature(vecs[i])
+		empty[i] = !ok
+		if ok {
+			buckets[sigs[i]] = append(buckets[sigs[i]], i)
+		}
+	}
+	uf := newUnionFind(n)
+	check := func(i, j int) {
+		if uf.find(i) != uf.find(j) && cosineVec(vecs[i], vecs[j]) >= d.threshold {
+			uf.union(i, j)
+		}
+	}
+	// Candidates: identical signatures, plus signatures differing by one
+	// bit, each pair probed from its smaller index.
+	for sig, members := range buckets {
+		for x := 0; x < len(members); x++ {
+			for y := x + 1; y < len(members); y++ {
+				check(members[x], members[y])
+			}
+		}
+		for p := 0; p < d.planes; p++ {
+			for _, i := range members {
+				for _, j := range buckets[sig^(1<<uint(p))] {
+					if i < j {
+						check(i, j)
+					}
+				}
+			}
+		}
+	}
+	mergeFeatureless(ds, d.textKey, func(i int) bool { return empty[i] }, uf)
+	return collapse(ds, uf)
+}
+
+// oracle runs the resident-map reference for op.
+func oracle(t *testing.T, op ops.Deduplicator, ds *dataset.Dataset) (*dataset.Dataset, []ops.DupPair) {
+	t.Helper()
+	switch d := op.(type) {
+	case *documentDedup:
+		return oracleDocument(d, ds)
+	case *minhashDedup:
+		return oracleMinhash(d, ds)
+	case *simhashDedup:
+		return oracleSimhash(d, ds)
+	case *vectorDedup:
+		return oracleVector(d, ds)
+	}
+	t.Fatalf("no oracle for %s", op.Name())
+	return nil, nil
+}
+
 // spillCases enumerates every dedup op with parameters and a corpus size
-// that makes a tiny byte budget engage the disk-backed path.
+// that makes a tiny byte budget push its index to disk.
 var spillCases = []struct {
 	name   string
 	params ops.Params
@@ -255,13 +413,47 @@ var spillCases = []struct {
 	{"vector_deduplicator", nil, 400},
 }
 
-// TestSpilledMatchesInMemory pins the disk-backed dedup path against the
-// in-memory reference: over seeded duplicate-heavy corpora (featureless
-// docs included), an op forced to spill through a tiny budget must keep
-// the same samples and report the identical DupPair list. Verification
-// is pure and clusters are connected components under min-index roots,
-// so the kept set and pair list are independent of whether candidates
-// came from resident maps or merged disk runs.
+// dedupAtBudget runs a fresh op under a spill budget and checks where its
+// index lived: with budget 0 it must stay in memory and never create its
+// spill directory; with a positive (tiny) budget it must spill.
+func dedupAtBudget(t *testing.T, name string, params ops.Params, budget int64, ds *dataset.Dataset, np int) (ops.Deduplicator, *dataset.Dataset, []ops.DupPair) {
+	t.Helper()
+	op := build(t, name, params)
+	spiller, ok := op.(ops.Spiller)
+	if !ok {
+		t.Fatalf("%s does not implement ops.Spiller", name)
+	}
+	dir := filepath.Join(t.TempDir(), "spill")
+	spiller.ConfigureSpill(ops.SpillSpec{Dir: dir, BudgetBytes: budget})
+	kept, pairs, err := op.Dedup(ds, np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := spiller.SpillStats()
+	if budget <= 0 {
+		if st.Spilled || st.Runs != 0 || st.SpilledBytes != 0 {
+			t.Fatalf("%s, budget %d: unbounded op spilled: %+v", name, budget, st)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("%s, budget %d: spill dir touched (stat err %v)", name, budget, err)
+		}
+	} else if !st.Spilled || st.Runs == 0 || st.SpilledBytes == 0 {
+		t.Fatalf("%s, budget %d: budgeted op did not spill: %+v", name, budget, st)
+	}
+	return op, kept, pairs
+}
+
+// spillBudgets are the two budgets every op is checked at: unbounded
+// (in memory) and 1 KiB (spilled).
+var spillBudgets = []int64{0, 1 << 10}
+
+// TestSpilledMatchesInMemory pins every deduplicator against its
+// resident-map oracle at both budgets: over seeded duplicate-heavy
+// corpora (featureless docs included), the op must keep the same samples
+// and report the identical DupPair list whether its index stayed in
+// memory or went to disk. Verification is pure and clusters are
+// connected components under min-index roots, so the kept set and pair
+// list are independent of where candidates came from.
 func TestSpilledMatchesInMemory(t *testing.T) {
 	for _, tc := range spillCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,78 +461,52 @@ func TestSpilledMatchesInMemory(t *testing.T) {
 			// Featureless docs ride along: identical empties must merge and
 			// distinct punctuation-only docs must survive, spilled or not.
 			ds := dataset.Concat(d, dataset.FromTexts([]string{"", "", "!!! ???", "..."}))
-
-			ref := build(t, tc.name, tc.params)
-			refKept, refPairs, err := ref.Dedup(ds, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			sp := build(t, tc.name, tc.params)
-			spiller, ok := sp.(ops.Spiller)
-			if !ok {
-				t.Fatalf("%s does not implement ops.Spiller", tc.name)
-			}
-			spiller.ConfigureSpill(ops.SpillSpec{Dir: t.TempDir(), BudgetBytes: 1 << 10})
-			gotKept, gotPairs, err := sp.Dedup(ds, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			st := spiller.SpillStats()
-			if !st.Spilled || st.Runs == 0 || st.SpilledBytes == 0 {
-				t.Fatalf("budgeted op did not spill: %+v", st)
-			}
-			if len(refPairs) == 0 {
-				t.Fatal("corpus produced no duplicates — test is vacuous")
-			}
-			if gotKept.Len() != refKept.Len() {
-				t.Fatalf("kept %d spilled vs %d in-memory", gotKept.Len(), refKept.Len())
-			}
-			for i := range refKept.Samples {
-				if gotKept.Samples[i].Text != refKept.Samples[i].Text {
-					t.Fatalf("kept sample %d diverges", i)
+			for _, budget := range spillBudgets {
+				op, gotKept, gotPairs := dedupAtBudget(t, tc.name, tc.params, budget, ds, 4)
+				refKept, refPairs := oracle(t, op, ds)
+				if len(refPairs) == 0 {
+					t.Fatal("corpus produced no duplicates — test is vacuous")
 				}
-			}
-			if len(gotPairs) != len(refPairs) {
-				t.Fatalf("%d dup pairs spilled vs %d in-memory", len(gotPairs), len(refPairs))
-			}
-			for i := range refPairs {
-				if gotPairs[i] != refPairs[i] {
-					t.Fatalf("pair %d diverges: %+v vs %+v", i, gotPairs[i], refPairs[i])
+				if gotKept.Len() != refKept.Len() {
+					t.Fatalf("budget %d: kept %d vs %d by the oracle", budget, gotKept.Len(), refKept.Len())
 				}
+				for i := range refKept.Samples {
+					if gotKept.Samples[i].Text != refKept.Samples[i].Text {
+						t.Fatalf("budget %d: kept sample %d diverges", budget, i)
+					}
+				}
+				assertPairsEqual(t, budget, gotPairs, refPairs)
 			}
 		})
 	}
 }
 
+func assertPairsEqual(t *testing.T, budget int64, got, want []ops.DupPair) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("budget %d: %d dup pairs vs %d by the oracle", budget, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("budget %d: pair %d diverges: %+v vs %+v", budget, i, got[i], want[i])
+		}
+	}
+}
+
 // TestSpilledMatchesInMemoryRace is the same differential under the race
 // detector's eye with higher parallelism, covering the concurrent
-// signature/record-emission passes of the spilled path.
+// signature/record-emission passes at both budgets.
 func TestSpilledMatchesInMemoryRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	d := corpus.Web(corpus.Options{Docs: 600, Seed: 5, DupExact: 0.2, DupNear: 0.1})
 	for _, tc := range spillCases {
-		ref := build(t, tc.name, tc.params)
-		_, refPairs, err := ref.Dedup(d, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp := build(t, tc.name, tc.params)
-		sp.(ops.Spiller).ConfigureSpill(ops.SpillSpec{Dir: t.TempDir(), BudgetBytes: 1 << 10})
-		_, gotPairs, err := sp.Dedup(d, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotPairs) != len(refPairs) {
-			t.Fatalf("%s: %d pairs spilled vs %d in-memory", tc.name, len(gotPairs), len(refPairs))
-		}
-		for i := range refPairs {
-			if gotPairs[i] != refPairs[i] {
-				t.Fatalf("%s: pair %d diverges", tc.name, i)
-			}
+		// At least tc.docs, so the 1 KiB budget really spills.
+		d := corpus.Web(corpus.Options{Docs: max(600, tc.docs), Seed: 5, DupExact: 0.2, DupNear: 0.1})
+		for _, budget := range spillBudgets {
+			op, _, gotPairs := dedupAtBudget(t, tc.name, tc.params, budget, d, 8)
+			_, refPairs := oracle(t, op, d)
+			assertPairsEqual(t, budget, gotPairs, refPairs)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func (d *minhashDedup) signature(shingles []uint64) []uint64 {
 
 // bandKey folds one band's signature rows into its LSH bucket key. The
 // band index seeds the fold, so bucket spaces of different bands are
-// disjoint (modulo 64-bit collisions) and the spilled path can group by
+// disjoint (modulo 64-bit collisions) and the bucket table can group by
 // the key alone.
 func (d *minhashDedup) bandKey(sig []uint64, b int) uint64 {
 	h := uint64(b) * 0x9e3779b97f4a7c15
@@ -81,65 +81,19 @@ func (d *minhashDedup) bandKey(sig []uint64, b int) uint64 {
 	return h
 }
 
-// shingleEstBytes is the assumed resident footprint of one document's
-// shingle set when estimating whether the in-memory index fits the
-// spill budget.
-const shingleEstBytes = 512
+// maxStackBands is how many band records a document's Add can collect
+// without a heap allocation.
+const maxStackBands = 32
 
+// Dedup streams band keys into an LSH bucket table, bounded by the op's
+// spill budget (in memory without one), instead of retaining every
+// signature and shingle set; verification recomputes the shingle sets of
+// candidate documents through a feature cache bounded by the same
+// budget. Union-find clustering is order-independent, so the output does
+// not depend on where the table lives.
 func (d *minhashDedup) Dedup(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops.DupPair, error) {
 	n := ds.Len()
-	if d.spillEngaged(int64(n) * int64(d.signatureSize()*8+shingleEstBytes)) {
-		return d.dedupSpilled(ds, np)
-	}
-	shingleSets := make([][]uint64, n)
-	signatures := make([][]uint64, n)
-	err := ds.MapIndexed(np, func(i int, s *sample.Sample) error {
-		t, _ := s.GetString(d.textKey)
-		shingleSets[i] = wordShingles(t, d.shingle)
-		if len(shingleSets[i]) > 0 {
-			signatures[i] = d.signature(shingleSets[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	uf := newUnionFind(n)
-	verify := func(i, j int) bool {
-		return jaccard(shingleSets[i], shingleSets[j]) >= d.threshold
-	}
-	for b := 0; b < d.bands; b++ {
-		buckets := make(map[uint64][]int)
-		for i := 0; i < n; i++ {
-			if len(shingleSets[i]) == 0 {
-				continue
-			}
-			h := d.bandKey(signatures[i], b)
-			buckets[h] = append(buckets[h], i)
-		}
-		for _, members := range buckets {
-			if len(members) < 2 {
-				continue
-			}
-			verifyMembers(uf, members, verify)
-		}
-	}
-	mergeFeatureless(ds, d.textKey, func(i int) bool { return len(shingleSets[i]) == 0 }, uf)
-	kept, pairs := collapse(ds, uf)
-	d.record(spill.Stats{})
-	return kept, pairs, nil
-}
-
-// dedupSpilled is the external-memory path: band keys stream into a
-// partitioned on-disk LSH table instead of retaining every signature and
-// shingle set; verification recomputes shingle sets through a bounded
-// feature cache. Candidate groups are the same band-key collisions the
-// in-memory path sees, and union-find clustering is order-independent,
-// so the output is identical.
-func (d *minhashDedup) dedupSpilled(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops.DupPair, error) {
-	n := ds.Len()
-	lsh := spill.NewLSH(d.spec.Dir, int64(n)*int64(d.bands), d.spec.BudgetBytes/2)
+	lsh := spill.NewLSH(d.spec.Dir, int64(n)*int64(d.bands), d.budget(2))
 	defer lsh.Close()
 	featureless := make([]bool, n)
 	err := ds.MapIndexed(np, func(i int, s *sample.Sample) error {
@@ -150,31 +104,27 @@ func (d *minhashDedup) dedupSpilled(ds *dataset.Dataset, np int) (*dataset.Datas
 			return nil
 		}
 		sig := d.signature(sh)
+		var buf [maxStackBands]spill.Pair
+		recs := buf[:0]
 		for b := 0; b < d.bands; b++ {
-			if err := lsh.Add(d.bandKey(sig, b), uint64(i)); err != nil {
-				return err
-			}
+			recs = append(recs, spill.Pair{K: d.bandKey(sig, b), V: uint64(i)})
 		}
-		return nil
+		return lsh.Add(recs...)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 
 	uf := newUnionFind(n)
-	feats := newFeatCache(d.spec.BudgetBytes/4, func(i int) []uint64 {
+	feats := newFeatCache(d.budget(4), func(i int) []uint64 {
 		t, _ := ds.Samples[i].GetString(d.textKey)
 		return wordShingles(t, d.shingle)
 	}, func(v []uint64) int64 { return int64(len(v)*8 + 64) })
 	verify := func(i, j int) bool {
 		return jaccard(feats.get(i), feats.get(j)) >= d.threshold
 	}
-	var members []int
-	err = lsh.ForEachPartition(func(pairs []spill.Pair) error {
-		forEachGroup(pairs, &members, func(m []int) {
-			verifyMembers(uf, m, verify)
-		})
-		return nil
+	err = forEachBucket(lsh, func(group []spill.Pair) {
+		verifyGroup(uf, group, verify)
 	})
 	if err != nil {
 		return nil, nil, err

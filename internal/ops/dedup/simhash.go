@@ -70,39 +70,33 @@ func (d *simhashDedup) fingerprint(t string) (uint64, bool) {
 }
 
 // chunkKey folds the pigeonhole chunk index into the 16-bit chunk value
-// so all four chunk spaces share one key domain — the spilled path
+// so all four chunk spaces share one key domain — the bucket table
 // groups by the key alone.
 func chunkKey(fp uint64, chunk int) uint64 {
 	return uint64(chunk)<<16 | uint64(uint16(fp>>uint(chunk*16)))
 }
 
-// simhashBucketBytes estimates the resident cost per document of the
-// in-memory pigeonhole buckets (four chunk entries plus map overhead).
-// The fingerprints themselves stay resident on both paths: 8 bytes per
-// document is the irreducible verify state.
-const simhashBucketBytes = 224
-
+// Dedup streams each fingerprint's four chunk keys into an LSH bucket
+// table, bounded by the op's spill budget (in memory without one). The
+// fingerprints stay resident: 8 bytes per document is the irreducible
+// verify state.
 func (d *simhashDedup) Dedup(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops.DupPair, error) {
 	n := ds.Len()
 	fps := make([]uint64, n)
 	valid := make([]bool, n)
-	spilled := d.spillEngaged(int64(n) * simhashBucketBytes)
-	var lsh *spill.LSH
-	if spilled {
-		lsh = spill.NewLSH(d.spec.Dir, int64(n)*4, d.spec.BudgetBytes/2)
-		defer lsh.Close()
-	}
+	lsh := spill.NewLSH(d.spec.Dir, int64(n)*4, d.budget(2))
+	defer lsh.Close()
 	err := ds.MapIndexed(np, func(i int, s *sample.Sample) error {
 		t, _ := s.GetString(d.textKey)
 		fps[i], valid[i] = d.fingerprint(t)
-		if spilled && valid[i] {
-			for chunk := 0; chunk < 4; chunk++ {
-				if err := lsh.Add(chunkKey(fps[i], chunk), uint64(i)); err != nil {
-					return err
-				}
-			}
+		if !valid[i] {
+			return nil
 		}
-		return nil
+		var recs [4]spill.Pair
+		for chunk := range recs {
+			recs[chunk] = spill.Pair{K: chunkKey(fps[i], chunk), V: uint64(i)}
+		}
+		return lsh.Add(recs[:]...)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -114,41 +108,14 @@ func (d *simhashDedup) Dedup(ds *dataset.Dataset, np int) (*dataset.Dataset, []o
 	verify := func(i, j int) bool {
 		return hamming(fps[i], fps[j]) <= d.maxDistance
 	}
-	if spilled {
-		var members []int
-		err = lsh.ForEachPartition(func(pairs []spill.Pair) error {
-			forEachGroup(pairs, &members, func(m []int) {
-				verifyMembers(uf, m, verify)
-			})
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		for chunk := 0; chunk < 4; chunk++ {
-			buckets := make(map[uint64][]int)
-			for i := 0; i < n; i++ {
-				if !valid[i] {
-					continue
-				}
-				key := chunkKey(fps[i], chunk)
-				buckets[key] = append(buckets[key], i)
-			}
-			for _, members := range buckets {
-				if len(members) < 2 {
-					continue
-				}
-				verifyMembers(uf, members, verify)
-			}
-		}
+	err = forEachBucket(lsh, func(group []spill.Pair) {
+		verifyGroup(uf, group, verify)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	mergeFeatureless(ds, d.textKey, func(i int) bool { return !valid[i] }, uf)
 	kept, pairs := collapse(ds, uf)
-	if spilled {
-		d.record(lsh.Stats())
-	} else {
-		d.record(spill.Stats{})
-	}
+	d.record(lsh.Stats())
 	return kept, pairs, nil
 }

@@ -38,12 +38,13 @@ var _ ops.Spiller = (*vectorDedup)(nil)
 
 func (d *vectorDedup) Name() string { return "vector_deduplicator" }
 
-// vectorize builds the L2-normalized hashed TF vector of t.
-func (d *vectorDedup) vectorize(t string) []float64 {
-	v := make([]float64, d.dim)
+// vectorize builds the L2-normalized hashed TF vector of t; ok is false
+// when t has no words (the zero vector).
+func (d *vectorDedup) vectorize(t string) (v []float64, ok bool) {
+	v = make([]float64, d.dim)
 	words := text.WordsLower(t)
 	if len(words) == 0 {
-		return v
+		return v, false
 	}
 	for _, w := range words {
 		v[int(hash64(w)%uint64(d.dim))]++
@@ -58,7 +59,7 @@ func (d *vectorDedup) vectorize(t string) []float64 {
 			v[i] /= norm
 		}
 	}
-	return v
+	return v, true
 }
 
 // planeSignature computes the random-hyperplane bit signature of v. The
@@ -92,122 +93,55 @@ func cosineVec(a, b []float64) float64 {
 	return dot
 }
 
-func (d *vectorDedup) Dedup(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops.DupPair, error) {
-	n := ds.Len()
-	if d.spillEngaged(int64(n) * int64(d.dim*8+64)) {
-		return d.dedupSpilled(ds, np)
-	}
-	vecs := make([][]float64, n)
-	sigs := make([]uint32, n)
-	empty := make([]bool, n)
-	err := ds.MapIndexed(np, func(i int, s *sample.Sample) error {
-		t, _ := s.GetString(d.textKey)
-		vecs[i] = d.vectorize(t)
-		sigs[i] = d.planeSignature(vecs[i])
-		empty[i] = len(text.WordsLower(t)) == 0
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	uf := newUnionFind(n)
-	// Candidates: identical signatures, plus signatures differing by one
-	// bit (near-misses across a single hyperplane).
-	buckets := make(map[uint32][]int, n)
-	for i := 0; i < n; i++ {
-		if empty[i] {
-			continue
-		}
-		buckets[sigs[i]] = append(buckets[sigs[i]], i)
-	}
-	// Union-find roots gate the verify: already-merged pairs are never
-	// re-checked, so no checked-pair set is needed.
-	check := func(i, j int) {
-		if uf.find(i) == uf.find(j) {
-			return
-		}
-		if cosineVec(vecs[i], vecs[j]) >= d.threshold {
-			uf.union(i, j)
-		}
-	}
-	for sig, members := range buckets {
-		for x := 0; x < len(members); x++ {
-			for y := x + 1; y < len(members); y++ {
-				check(members[x], members[y])
-			}
-		}
-		for p := 0; p < d.planes; p++ {
-			if others, ok := buckets[sig^(1<<uint(p))]; ok {
-				for _, i := range members {
-					for _, j := range others {
-						if i < j {
-							check(i, j)
-						}
-					}
-				}
-			}
-		}
-	}
-	mergeFeatureless(ds, d.textKey, func(i int) bool { return empty[i] }, uf)
-	kept, pairs := collapse(ds, uf)
-	d.record(spill.Stats{})
-	return kept, pairs, nil
-}
-
-// Spilled-path record encoding: the value carries the document index
-// shifted left one bit, with bit 0 marking a "home" record (the doc's
-// own signature bucket) versus a "virtual" one (a one-bit neighbor
-// probe). A candidate pair is enumerated exactly once: home-home pairs
-// from the smaller index, home-virtual pairs only when the home index is
-// smaller — the same single-enumeration rule the in-memory neighbor
-// probe applies, so both paths see identical candidate sets.
+// Record encoding in the bucket table: the value carries the document
+// index shifted left one bit, with bit 0 marking a "home" record (the
+// doc's own signature bucket) versus a "virtual" one (a one-bit neighbor
+// probe). Candidates are identical signatures plus signatures differing
+// by one bit (near-misses across a single hyperplane), and a candidate
+// pair is enumerated exactly once: home-home pairs from the smaller
+// index, home-virtual pairs only when the home index is smaller.
 const vectorHomeFlag = 1
 
-// dedupSpilled is the external-memory path: home and neighbor-probe
-// records stream into the partitioned on-disk LSH table instead of
-// retaining every TF vector; verification recomputes vectors through a
-// bounded feature cache.
-func (d *vectorDedup) dedupSpilled(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops.DupPair, error) {
+// Dedup streams home and neighbor-probe records into an LSH bucket
+// table, bounded by the op's spill budget (in memory without one),
+// instead of retaining every TF vector; verification recomputes the
+// vectors of candidate documents through a feature cache bounded by the
+// same budget.
+func (d *vectorDedup) Dedup(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops.DupPair, error) {
 	n := ds.Len()
-	lsh := spill.NewLSH(d.spec.Dir, int64(n)*int64(d.planes+1), d.spec.BudgetBytes/2)
+	lsh := spill.NewLSH(d.spec.Dir, int64(n)*int64(d.planes+1), d.budget(2))
 	defer lsh.Close()
 	featureless := make([]bool, n)
 	err := ds.MapIndexed(np, func(i int, s *sample.Sample) error {
 		t, _ := s.GetString(d.textKey)
-		if len(text.WordsLower(t)) == 0 {
+		v, ok := d.vectorize(t)
+		if !ok {
 			featureless[i] = true
 			return nil
 		}
-		sig := d.planeSignature(d.vectorize(t))
-		if err := lsh.Add(uint64(sig), uint64(i)<<1|vectorHomeFlag); err != nil {
-			return err
-		}
+		sig := d.planeSignature(v)
+		var buf [maxStackBands]spill.Pair
+		recs := append(buf[:0], spill.Pair{K: uint64(sig), V: uint64(i)<<1 | vectorHomeFlag})
 		for p := 0; p < d.planes; p++ {
-			if err := lsh.Add(uint64(sig^(1<<uint(p))), uint64(i)<<1); err != nil {
-				return err
-			}
+			recs = append(recs, spill.Pair{K: uint64(sig ^ (1 << uint(p))), V: uint64(i) << 1})
 		}
-		return nil
+		return lsh.Add(recs...)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 
 	uf := newUnionFind(n)
-	feats := newFeatCache(d.spec.BudgetBytes/4, func(i int) []float64 {
+	feats := newFeatCache(d.budget(4), func(i int) []float64 {
 		t, _ := ds.Samples[i].GetString(d.textKey)
-		return d.vectorize(t)
+		v, _ := d.vectorize(t)
+		return v
 	}, func(v []float64) int64 { return int64(len(v)*8 + 48) })
 	verify := func(i, j int) bool {
 		return cosineVec(feats.get(i), feats.get(j)) >= d.threshold
 	}
-	var vals []uint64
-	err = lsh.ForEachPartition(func(pairs []spill.Pair) error {
-		forEachFlaggedGroup(pairs, &vals, func(group []uint64) {
-			processFlaggedGroup(group, uf, verify)
-		})
-		return nil
+	err = forEachBucket(lsh, func(group []spill.Pair) {
+		verifyFlaggedGroup(uf, group, verify)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -218,39 +152,18 @@ func (d *vectorDedup) dedupSpilled(ds *dataset.Dataset, np int) (*dataset.Datase
 	return kept, pairs, nil
 }
 
-// forEachFlaggedGroup walks runs of equal keys, handing each run's raw
-// flagged values to fn. The vals scratch is reused across groups.
-func forEachFlaggedGroup(pairs []spill.Pair, vals *[]uint64, fn func(vals []uint64)) {
-	for s := 0; s < len(pairs); {
-		e := s + 1
-		for e < len(pairs) && pairs[e].K == pairs[s].K {
-			e++
-		}
-		if e-s >= 2 {
-			v := (*vals)[:0]
-			for _, p := range pairs[s:e] {
-				v = append(v, p.V)
-			}
-			*vals = v
-			fn(v)
-		}
-		s = e
-	}
-}
-
-// processFlaggedGroup enumerates candidate pairs within one signature
+// verifyFlaggedGroup enumerates candidate pairs within one signature
 // group: for every home record, every other record with a larger
 // document index is a candidate. That yields home-home pairs once each
-// and home-virtual pairs exactly when the home index is smaller,
-// matching the in-memory probe's enumeration.
-func processFlaggedGroup(vals []uint64, uf *unionFind, verify func(i, j int) bool) {
-	for x := 0; x < len(vals); x++ {
-		if vals[x]&vectorHomeFlag == 0 {
+// and home-virtual pairs exactly when the home index is smaller.
+func verifyFlaggedGroup(uf *unionFind, group []spill.Pair, verify func(i, j int) bool) {
+	for x := range group {
+		if group[x].V&vectorHomeFlag == 0 {
 			continue
 		}
-		i := int(vals[x] >> 1)
-		for y := 0; y < len(vals); y++ {
-			j := int(vals[y] >> 1)
+		i := int(group[x].V >> 1)
+		for y := range group {
+			j := int(group[y].V >> 1)
 			if j <= i {
 				continue
 			}

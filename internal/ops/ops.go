@@ -99,16 +99,16 @@ type SpillSpec struct {
 	// Dir is the spill directory (shared; ops create uniquely-named
 	// files inside it and remove them when done).
 	Dir string
-	// BudgetBytes bounds the op's in-memory index footprint. Zero
-	// disables spilling: the op keeps everything resident.
+	// BudgetBytes bounds the op's in-memory index footprint. Zero (or
+	// less) means unbounded: the op's index structures stay in memory
+	// and Dir is never touched.
 	BudgetBytes int64
 }
 
 // SpillStats reports what a spill-capable OP actually did on its last
 // application, for telemetry.
 type SpillStats struct {
-	// Spilled is true when the disk-backed path engaged (estimated
-	// index size exceeded the budget).
+	// Spilled is true when at least one run reached disk.
 	Spilled bool
 	// Runs counts spill files (sorted runs / partitions) written.
 	Runs int64

@@ -484,18 +484,14 @@ func (b *builder) passCacheBoundary() {
 
 // passSpill slices the run's memory target across the spill-capable
 // deduplicators: each gets an equal share of half the target (the other
-// half stays with sample buffers and shard flow), and switches to its
-// disk-backed index when its estimated footprint exceeds the share.
+// half stays with sample buffers and shard flow), and its index
+// structures spill to disk when they outgrow the share.
 // Budgets are annotations only — no directory is created at plan time,
 // so -explain stays side-effect free; executors install the spill
 // directory just before running.
 func (b *builder) passSpill() {
 	if b.r.TargetMemMB <= 0 {
 		b.record("spill", "no memory target; dedup indexes stay fully in memory")
-		return
-	}
-	if !b.r.DedupSpill {
-		b.record("spill", "dedup_spill=false; dedup indexes stay fully in memory")
 		return
 	}
 	var dd []*node

@@ -476,7 +476,7 @@ func TestNewFusedFilterPanicsOnSingle(t *testing.T) {
 
 // TestPassSpillSplitsBudget: with a memory target set, the spill pass
 // gives every spill-capable dedup node an equal slice of half the
-// target; without a target (or with dedup_spill off) no node gets one.
+// target; without a target no node gets one.
 func TestPassSpillSplitsBudget(t *testing.T) {
 	specs := []config.OpSpec{
 		op("whitespace_normalization_mapper"),
@@ -503,16 +503,11 @@ func TestPassSpillSplitsBudget(t *testing.T) {
 		t.Fatal("Explain does not render the spill flag")
 	}
 
-	for _, off := range []func(*config.Recipe){
-		func(r *config.Recipe) { r.TargetMemMB = 0 },
-		func(r *config.Recipe) { r.TargetMemMB = 64; r.DedupSpill = false },
-	} {
-		r := testRecipe(specs...)
-		off(r)
-		for _, n := range mustPlan(t, r).Nodes {
-			if n.SpillBudget != 0 {
-				t.Fatalf("spill budget %d assigned with spilling disabled", n.SpillBudget)
-			}
+	r = testRecipe(specs...)
+	r.TargetMemMB = 0
+	for _, n := range mustPlan(t, r).Nodes {
+		if n.SpillBudget != 0 {
+			t.Fatalf("spill budget %d assigned without a memory target", n.SpillBudget)
 		}
 	}
 }

@@ -15,16 +15,15 @@ const (
 // generation: callers Add (bucketKey, docIndex) records during the
 // feature pass, then ForEachPartition visits every partition's records
 // sorted by (key, value) so consecutive equal keys form the candidate
-// groups. When the caller's upfront record estimate fits the budget the
-// whole table stays in one in-memory partition; otherwise records are
-// hash-partitioned across append-only files so no more than one
-// partition (~budget/2 bytes) is resident at a time.
+// groups. When the budget is <= 0, or the caller's upfront record
+// estimate fits it, the whole table stays in one in-memory partition;
+// otherwise records are hash-partitioned across append-only files so no
+// more than one partition (~budget/2 bytes) is resident at a time.
 //
 // Add is safe for concurrent use; ForEachPartition is not, and must run
 // after all Adds complete.
 type LSH struct {
-	dir    string
-	budget int64
+	dir string
 
 	// In-memory mode.
 	memMode bool
@@ -50,8 +49,10 @@ type lshPart struct {
 // NewLSH sizes the table for expectedRecords records under budget bytes.
 // Partition count is chosen so one fully-loaded partition stays around
 // half the budget, leaving headroom for the caller's sort and grouping.
+// A budget <= 0 means unbounded: the table stays in memory and dir is
+// never touched.
 func NewLSH(dir string, expectedRecords, budget int64) *LSH {
-	l := &LSH{dir: dir, budget: budget}
+	l := &LSH{dir: dir}
 	if budget <= 0 || expectedRecords*pairBytes <= budget {
 		l.memMode = true
 		return l
@@ -83,23 +84,30 @@ func NewLSH(dir string, expectedRecords, budget int64) *LSH {
 // Spilled reports whether the table went to disk.
 func (l *LSH) Spilled() bool { return !l.memMode }
 
-// Add inserts one (bucketKey, docIndex) record.
-func (l *LSH) Add(key, val uint64) error {
+// Add inserts (bucketKey, docIndex) records. In memory, one call takes
+// the table's lock once, so callers pass all of a document's records
+// together.
+func (l *LSH) Add(recs ...Pair) error {
 	if l.memMode {
 		l.memMu.Lock()
-		l.mem = append(l.mem, Pair{K: key, V: val})
+		l.mem = append(l.mem, recs...)
 		l.memMu.Unlock()
 		return nil
 	}
-	p := l.parts[mix(key)%uint64(len(l.parts))]
-	p.mu.Lock()
-	p.buf = append(p.buf, Pair{K: key, V: val})
-	var err error
-	if len(p.buf) >= p.maxBf {
-		err = l.flushPart(p)
+	for _, r := range recs {
+		p := l.parts[mix(r.K)%uint64(len(l.parts))]
+		p.mu.Lock()
+		p.buf = append(p.buf, r)
+		var err error
+		if len(p.buf) >= p.maxBf {
+			err = l.flushPart(p)
+		}
+		p.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
-	p.mu.Unlock()
-	return err
+	return nil
 }
 
 // flushPart appends the buffer as one frame to the partition file.

@@ -1,11 +1,13 @@
 package spill
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
+	"slices"
 )
 
 // SortedRuns is the classic external-sort building block: Add buffers
@@ -14,10 +16,10 @@ import (
 // Merge streams all runs plus the in-memory tail through a k-way heap
 // merge, emitting records in globally sorted order. When nothing ever
 // spilled, Merge degenerates to a single in-memory sort.
+//
+// SortedRuns is not safe for concurrent use.
 type SortedRuns struct {
 	dir    string
-	budget int64
-
 	buf    []Pair
 	maxBuf int
 	files  []string
@@ -28,14 +30,16 @@ type SortedRuns struct {
 // pairBytes is the in-memory footprint of one buffered Pair.
 const pairBytes = 16
 
-// NewSortedRuns creates a run writer bounded by budget bytes. A zero or
-// negative budget still works: the buffer floor keeps runs non-degenerate.
+// NewSortedRuns creates a run writer bounded by budget bytes, with a
+// floor of 1024 buffered pairs per run so runs are never degenerate. A
+// budget <= 0 means unbounded: the buffer never flushes, Merge is one
+// in-memory sort and dir is never touched.
 func NewSortedRuns(dir string, budget int64) *SortedRuns {
-	maxBuf := int(budget / pairBytes)
-	if maxBuf < 1024 {
-		maxBuf = 1024
+	maxBuf := math.MaxInt
+	if budget > 0 {
+		maxBuf = max(int(budget/pairBytes), 1024)
 	}
-	return &SortedRuns{dir: dir, budget: budget, maxBuf: maxBuf}
+	return &SortedRuns{dir: dir, maxBuf: maxBuf}
 }
 
 // Add buffers one record, flushing a sorted run when the buffer is full.
@@ -47,12 +51,13 @@ func (r *SortedRuns) Add(k, v uint64) error {
 	return nil
 }
 
+// sortPairs orders records by (key, value).
 func sortPairs(pairs []Pair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].K != pairs[j].K {
-			return pairs[i].K < pairs[j].K
+	slices.SortFunc(pairs, func(a, b Pair) int {
+		if c := cmp.Compare(a.K, b.K); c != 0 {
+			return c
 		}
-		return pairs[i].V < pairs[j].V
+		return cmp.Compare(a.V, b.V)
 	})
 }
 

@@ -10,20 +10,16 @@
 // Every structure accounts the runs and bytes it writes so callers can
 // surface spill activity as metrics and journal events, and removes its
 // files on Close.
+//
+// One budget rule holds for all of them: a budget <= 0 means unbounded.
+// The structure then stays in memory and never touches its directory,
+// so callers use the same structure with or without a memory target.
 package spill
 
 import (
 	"os"
 	"sync/atomic"
 )
-
-// Config locates and bounds one spill-capable structure. BudgetBytes is
-// the in-memory ceiling the structure must respect; Dir is where runs and
-// partitions are written (created on demand).
-type Config struct {
-	Dir         string
-	BudgetBytes int64
-}
 
 // Stats reports what a structure actually wrote. Runs counts spill files
 // (sorted runs, set runs, LSH partitions); Bytes is the total bytes

@@ -116,6 +116,38 @@ func TestSortedRunsMerge(t *testing.T) {
 	}
 }
 
+// TestSortedRunsUnbounded: a budget <= 0 never flushes, so the runs
+// never touch their directory and Merge is one in-memory sort.
+func TestSortedRunsUnbounded(t *testing.T) {
+	for _, budget := range []int64{0, -1} {
+		r := NewSortedRuns("/nonexistent/never-created", budget)
+		const n = 50000
+		for i := 0; i < n; i++ {
+			if err := r.Add(uint64(i%30000), uint64(n-i)); err != nil {
+				t.Fatalf("budget %d: %v", budget, err)
+			}
+		}
+		var prev Pair
+		got := 0
+		if err := r.Merge(func(k, v uint64) error {
+			p := Pair{K: k, V: v}
+			if got > 0 && (p.K < prev.K || p.K == prev.K && p.V <= prev.V) {
+				t.Fatalf("budget %d: record %d = %+v after %+v", budget, got, p, prev)
+			}
+			prev = p
+			got++
+			return nil
+		}); err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if st := r.Stats(); got != n || st.Runs != 0 || st.Bytes != 0 {
+			t.Fatalf("budget %d: merged %d records, %d runs, %d bytes; want %d, 0, 0",
+				budget, got, st.Runs, st.Bytes, n)
+		}
+		r.Close()
+	}
+}
+
 // TestDiskSetMatchesMap drives a DiskSet with a tiny budget (forcing
 // flushes and compaction) against a plain map reference.
 func TestDiskSetMatchesMap(t *testing.T) {
@@ -206,7 +238,7 @@ func TestLSHPartitionsCoverAllRecords(t *testing.T) {
 		t.Fatal("expected disk mode for estimate >> budget")
 	}
 	for i := 0; i < n; i++ {
-		if err := l.Add(uint64(i%513), uint64(i)); err != nil {
+		if err := l.Add(Pair{K: uint64(i % 513), V: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,8 +279,7 @@ func TestLSHPartitionsCoverAllRecords(t *testing.T) {
 	if m.Spilled() {
 		t.Fatal("tiny estimate should stay in memory")
 	}
-	m.Add(5, 1)
-	m.Add(5, 0)
+	m.Add(Pair{K: 5, V: 1}, Pair{K: 5, V: 0})
 	var got []Pair
 	m.ForEachPartition(func(pairs []Pair) error {
 		got = append(got, pairs...)
@@ -259,5 +290,12 @@ func TestLSHPartitionsCoverAllRecords(t *testing.T) {
 	}
 	if st := m.Stats(); st.Runs != 0 || st.Bytes != 0 {
 		t.Fatalf("in-memory mode reported spill activity: %+v", st)
+	}
+
+	// A budget <= 0 is unbounded whatever the estimate.
+	for _, budget := range []int64{0, -1} {
+		if NewLSH("/nonexistent/never-created", 1<<40, budget).Spilled() {
+			t.Fatalf("budget %d: table went to disk", budget)
+		}
 	}
 }

@@ -20,13 +20,12 @@ import (
 // spillConformanceRecipe pairs the shared-index exact dedup (DiskSet path
 // on the stream backend, sorted runs on batch) with the
 // minhash barrier (partitioned on-disk LSH on both backends).
-func spillConformanceRecipe(workDir string, targetMemMB int, spill bool) *config.Recipe {
+func spillConformanceRecipe(workDir string, targetMemMB int) *config.Recipe {
 	r := config.Default()
 	r.ProjectName = "spill-conformance"
 	r.UseCache = false
 	r.WorkDir = workDir
 	r.TargetMemMB = targetMemMB
-	r.DedupSpill = spill
 	r.Process = []config.OpSpec{
 		{Name: "whitespace_normalization_mapper"},
 		{Name: "document_deduplicator"},
@@ -68,11 +67,11 @@ func TestSpillCrossBackendConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: spilling disabled, everything in memory.
-	ref, _ := runSpillBatch(t, spillConformanceRecipe(t.TempDir(), 0, false), input)
+	// Reference: no memory target, everything in memory.
+	ref, _ := runSpillBatch(t, spillConformanceRecipe(t.TempDir(), 0), input)
 
 	// Batch under the budget.
-	got, exec := runSpillBatch(t, spillConformanceRecipe(t.TempDir(), 1, true), input)
+	got, exec := runSpillBatch(t, spillConformanceRecipe(t.TempDir(), 1), input)
 	if string(got) != string(ref) {
 		t.Fatalf("batch export changed under the spill budget: %d vs %d bytes", len(got), len(ref))
 	}
@@ -91,7 +90,7 @@ func TestSpillCrossBackendConformance(t *testing.T) {
 
 	// Streaming under the same budget: the exact dedup runs against its
 	// disk-backed signature set, minhash as a spilled barrier.
-	streamRecipe := spillConformanceRecipe(t.TempDir(), 1, true)
+	streamRecipe := spillConformanceRecipe(t.TempDir(), 1)
 	eng, err := stream.New(streamRecipe, stream.Options{ShardSize: 256})
 	if err != nil {
 		t.Fatal(err)
