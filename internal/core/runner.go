@@ -255,6 +255,7 @@ func (r *OpRunner) ApplyDedup(dd ops.Deduplicator, d *dataset.Dataset, np int) (
 			dp = append(dp, trace.DupPair{
 				Kept:    d.Samples[p.Kept].Text,
 				Dropped: d.Samples[p.Dropped].Text,
+				KeptIdx: p.Kept, DroppedIdx: p.Dropped,
 			})
 		}
 		r.tracer.Record(trace.Event{

@@ -155,7 +155,7 @@ func TestFig8Shape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	if raceEnabled {
-		t.Skip("cross-system wall-clock comparison is not meaningful under the race detector")
+		t.Skip("cross-system CPU-time comparison is not meaningful under the race detector")
 	}
 	s := Quick()
 	s.PerfDocs = [3]int{40, 80, 150} // keep CI fast

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"syscall"
 	"time"
 
@@ -15,7 +15,8 @@ import (
 	"repro/internal/sample"
 )
 
-// Fig8Cell is one (dataset, system, np) measurement.
+// Fig8Cell is one (dataset, system, np) measurement. Elapsed is process
+// CPU time, user plus system, summed over the np workers.
 type Fig8Cell struct {
 	Dataset  string
 	System   string
@@ -41,8 +42,50 @@ func fig8Datasets(s Scale) map[string]*dataset.Dataset {
 	}
 }
 
-// Fig8 reproduces Figure 8: wall-clock time and memory of Data-Juicer vs
-// the RedPajama-like and Dolma-like baselines, across worker counts.
+// fig8Arm is one system's run over one (dataset, np) cell.
+type fig8Arm struct {
+	system  string
+	run     func() (kept int, err error)
+	samples []time.Duration
+	peak    uint64
+	kept    int
+}
+
+// measureFig8Arms times the arms of one cell the way Fig9 times its
+// arms: the median process CPU time of cpuRepeats runs, the repeats
+// round-robin across the arms, and the previous run's garbage collected
+// outside each timed window. Wall clock on a shared machine also counts
+// what neighbouring processes take from the cores, which at millisecond
+// scale can flip the systems' order. Peak heap comes from one separate
+// untimed pass per arm, made first.
+func measureFig8Arms(arms []*fig8Arm) error {
+	for _, a := range arms {
+		var runErr error
+		mem := baseline.TrackMemory(2*time.Millisecond, func() {
+			a.kept, runErr = a.run()
+		})
+		if runErr != nil {
+			return runErr
+		}
+		a.peak = mem.PeakHeap
+	}
+	for rep := 0; rep < cpuRepeats; rep++ {
+		for _, a := range arms {
+			dur, err := cpuTime(func() (err error) {
+				a.kept, err = a.run()
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			a.samples = append(a.samples, dur)
+		}
+	}
+	return nil
+}
+
+// Fig8 reproduces Figure 8: CPU time and memory of Data-Juicer vs the
+// RedPajama-like and Dolma-like baselines, across worker counts.
 // Expected shape: Data-Juicer needs less time and less memory on every
 // dataset (the baselines recompute word splits per op, copy rows, and
 // round-trip through disk).
@@ -52,36 +95,10 @@ func Fig8(s Scale, nps []int) (*Fig8Result, error) {
 	}
 	datasets := fig8Datasets(s)
 	res := &Fig8Result{}
-
-	// measure times fn with min-of-3 repeats (robust against scheduler
-	// noise), then samples memory in one separate untimed pass.
-	measure := func(run func() (int, error)) (time.Duration, uint64, int, error) {
-		var best time.Duration
-		var kept int
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			k, err := run()
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			el := time.Since(start)
-			if best == 0 || el < best {
-				best = el
-			}
-			kept = k
-		}
-		var memErr error
-		mem := baseline.TrackMemory(2*time.Millisecond, func() {
-			if _, err := run(); err != nil {
-				memErr = err
-			}
-		})
-		if memErr != nil {
-			return 0, 0, 0, memErr
-		}
-		return best, mem.PeakHeap, kept, nil
+	recipe, err := config.ParseRecipe(baseline.ComparisonRecipeYAML)
+	if err != nil {
+		return nil, err
 	}
-
 	for _, name := range []string{"books", "arxiv", "c4"} {
 		d := datasets[name]
 		texts := make([]string, d.Len())
@@ -89,66 +106,16 @@ func Fig8(s Scale, nps []int) (*Fig8Result, error) {
 			texts[i] = smp.Text
 		}
 		for _, np := range nps {
-			// Data-Juicer.
-			workDir, err := os.MkdirTemp("", "dj-fig8-*")
+			cells, err := runFig8Cell(recipe, d, texts, np)
 			if err != nil {
 				return nil, err
 			}
-			elapsed, peak, kept, err := measure(func() (int, error) {
-				r, err := config.ParseRecipe(baseline.ComparisonRecipeYAML)
-				if err != nil {
-					return 0, err
-				}
-				r.WorkDir = workDir
-				r.NP = np
-				exec, err := core.NewExecutor(r)
-				if err != nil {
-					return 0, err
-				}
-				out, _, err := exec.Run(d.Clone())
-				if err != nil {
-					return 0, err
-				}
-				return out.Len(), nil
-			})
-			if err != nil {
-				return nil, err
+			for _, a := range cells {
+				res.Cells = append(res.Cells, Fig8Cell{
+					Dataset: name, System: a.system, NP: np,
+					Elapsed: median(a.samples), PeakHeap: a.peak, Kept: a.kept,
+				})
 			}
-			res.Cells = append(res.Cells, Fig8Cell{
-				Dataset: name, System: "Data-Juicer", NP: np,
-				Elapsed: elapsed, PeakHeap: peak, Kept: kept,
-			})
-			os.RemoveAll(workDir)
-
-			// RedPajama-like.
-			rpDir, _ := os.MkdirTemp("", "dj-rp-*")
-			elapsed, peak, kept, err = measure(func() (int, error) {
-				out, err := baseline.RedPajamaRun(texts, rpDir, np)
-				return len(out), err
-			})
-			if err != nil {
-				return nil, err
-			}
-			res.Cells = append(res.Cells, Fig8Cell{
-				Dataset: name, System: "RedPajama", NP: np,
-				Elapsed: elapsed, PeakHeap: peak, Kept: kept,
-			})
-			os.RemoveAll(rpDir)
-
-			// Dolma-like.
-			dolDir, _ := os.MkdirTemp("", "dj-dolma-*")
-			elapsed, peak, kept, err = measure(func() (int, error) {
-				out, err := baseline.DolmaRun(texts, dolDir, 4, np)
-				return len(out), err
-			})
-			if err != nil {
-				return nil, err
-			}
-			res.Cells = append(res.Cells, Fig8Cell{
-				Dataset: name, System: "Dolma", NP: np,
-				Elapsed: elapsed, PeakHeap: peak, Kept: kept,
-			})
-			os.RemoveAll(dolDir)
 		}
 	}
 
@@ -161,9 +128,48 @@ func Fig8(s Scale, nps []int) (*Fig8Result, error) {
 			fmt.Sprint(c.Kept),
 		})
 	}
-	res.Render = "Figure 8 — end-to-end time and memory vs baselines\n" +
-		table([]string{"dataset", "system", "np", "time", "peak heap", "kept"}, rows)
+	res.Render = "Figure 8 — end-to-end CPU time and memory vs baselines\n" +
+		table([]string{"dataset", "system", "np", "cpu", "peak heap", "kept"}, rows)
 	return res, nil
+}
+
+// runFig8Cell measures Data-Juicer and both baselines on one dataset at one
+// worker count, each system in its own scratch directory.
+func runFig8Cell(recipe *config.Recipe, d *dataset.Dataset, texts []string, np int) ([]*fig8Arm, error) {
+	var dirs [3]string
+	for i, pattern := range []string{"dj-fig8-*", "dj-rp-*", "dj-dolma-*"} {
+		dir, err := os.MkdirTemp("", pattern)
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		dirs[i] = dir
+	}
+	r := *recipe
+	r.WorkDir = dirs[0]
+	r.NP = np
+	arms := []*fig8Arm{
+		{system: "Data-Juicer", run: func() (int, error) {
+			exec, err := core.NewExecutor(&r)
+			if err != nil {
+				return 0, err
+			}
+			out, _, err := exec.Run(d.Clone())
+			if err != nil {
+				return 0, err
+			}
+			return out.Len(), nil
+		}},
+		{system: "RedPajama", run: func() (int, error) {
+			out, err := baseline.RedPajamaRun(texts, dirs[1], np)
+			return len(out), err
+		}},
+		{system: "Dolma", run: func() (int, error) {
+			out, err := baseline.DolmaRun(texts, dirs[2], 4, np)
+			return len(out), err
+		}},
+	}
+	return arms, measureFig8Arms(arms)
 }
 
 // fig9RecipeYAML is the Figure 9 workload: 5 Mappers, 8 Filters (5 of
@@ -228,8 +234,9 @@ type Fig9Row struct {
 	FusibleFused   time.Duration
 }
 
-// fig9Repeats is how many timed runs each Fig9 arm takes the median of.
-const fig9Repeats = 11
+// cpuRepeats is how many timed runs each Fig8 and Fig9 arm takes the
+// median of.
+const cpuRepeats = 11
 
 // processCPU returns the CPU time, user plus system, this process has
 // used so far.
@@ -239,6 +246,32 @@ func processCPU() (time.Duration, error) {
 		return 0, err
 	}
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()), nil
+}
+
+// cpuTime runs fn and returns the process CPU time it took. The previous
+// run's garbage is collected first, outside the timed window: otherwise
+// the background GC it triggers is charged to this run, and in a
+// round-robin the arm after the most wasteful one pays for it.
+func cpuTime(fn func() error) (time.Duration, error) {
+	runtime.GC()
+	start, err := processCPU()
+	if err != nil {
+		return 0, err
+	}
+	if err := fn(); err != nil {
+		return 0, err
+	}
+	end, err := processCPU()
+	if err != nil {
+		return 0, err
+	}
+	return end - start, nil
+}
+
+// median returns the middle sample, sorting samples in place.
+func median(samples []time.Duration) time.Duration {
+	slices.Sort(samples)
+	return samples[len(samples)/2]
 }
 
 // Fig9Result reproduces the OP-fusion experiment.
@@ -278,7 +311,7 @@ func Fig9(s Scale, np int) (*Fig9Result, error) {
 		recipe           *config.Recipe
 		samples          []time.Duration
 	}
-	// An arm's time is the median process CPU time of fig9Repeats runs,
+	// An arm's time is the median process CPU time of cpuRepeats runs,
 	// and the repeats go round-robin across the row's arms. CPU time
 	// counts the work an arm does; wall clock on a shared machine also
 	// counts whatever a neighbouring process takes from the cores, which
@@ -321,23 +354,14 @@ func Fig9(s Scale, np int) (*Fig9Result, error) {
 		if err != nil {
 			return err
 		}
-		// Collect the previous run's garbage outside the timed window:
-		// otherwise the background GC it triggers is charged to this
-		// arm, and the arm after the most wasteful one (the fused arm
-		// follows the unfused one) pays for it.
-		runtime.GC()
-		start, err := processCPU()
+		dur, err := cpuTime(func() error {
+			_, _, err := exec.Run(d.Clone())
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		if _, _, err := exec.Run(d.Clone()); err != nil {
-			return err
-		}
-		end, err := processCPU()
-		if err != nil {
-			return err
-		}
-		a.samples = append(a.samples, end-start)
+		a.samples = append(a.samples, dur)
 		return nil
 	}
 	res := &Fig9Result{}
@@ -356,7 +380,7 @@ func Fig9(s Scale, np int) (*Fig9Result, error) {
 				return nil, err
 			}
 		}
-		for rep := 0; rep < fig9Repeats; rep++ {
+		for rep := 0; rep < cpuRepeats; rep++ {
 			for _, a := range arms {
 				if err := timeOnce(a, base); err != nil {
 					return nil, err
@@ -364,8 +388,7 @@ func Fig9(s Scale, np int) (*Fig9Result, error) {
 			}
 		}
 		for _, a := range arms {
-			sort.Slice(a.samples, func(i, j int) bool { return a.samples[i] < a.samples[j] })
-			*a.dst = a.samples[len(a.samples)/2]
+			*a.dst = median(a.samples)
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -1,8 +1,6 @@
 package dedup
 
 import (
-	"sync"
-
 	"repro/internal/dataset"
 	"repro/internal/ops"
 	"repro/internal/sample"
@@ -45,38 +43,35 @@ var (
 	_ ops.Spiller       = (*documentDedup)(nil)
 )
 
-// Dedup streams (hash, index) records into sorted runs, bounded by the
-// op's spill budget (in memory without one); the k-way merge then visits
-// each hash group in ascending index order, so the first record of a
-// group is its cluster's kept representative.
+// Dedup runs the streaming engine's shared-index claim as one shard:
+// hash every sample in parallel, then claim the hashes in input order
+// against one first-holder index, bounded by the op's spill budget (in
+// memory without one). A sample whose hash already has a holder is
+// dropped, and that holder is its kept representative.
 func (d *documentDedup) Dedup(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops.DupPair, error) {
-	runs := spill.NewSortedRuns(d.spec.Dir, d.budget(1))
-	defer runs.Close()
-	var mu sync.Mutex
+	sigs := make([]uint64, ds.Len())
 	err := ds.MapIndexed(np, func(i int, s *sample.Sample) error {
-		h := d.Signature(s)
-		mu.Lock()
-		defer mu.Unlock()
-		return runs.Add(h, uint64(i))
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	uf := newUnionFind(ds.Len())
-	root := -1
-	var cur uint64
-	err = runs.Merge(func(k, v uint64) error {
-		if root < 0 || k != cur {
-			cur, root = k, int(v)
-			return nil
-		}
-		uf.union(root, int(v))
+		sigs[i] = d.Signature(s)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	kept, pairs := collapse(ds, uf)
-	d.record(runs.Stats())
-	return kept, pairs, nil
+	idx := spill.NewDiskSet(d.spec.Dir, d.budget(1))
+	defer idx.Close()
+	holder := make([]int64, len(sigs))
+	if err := idx.Claim(0, sigs, holder); err != nil {
+		return nil, nil, err
+	}
+	d.record(idx.Stats())
+	kept := make([]*sample.Sample, 0, ds.Len())
+	var pairs []ops.DupPair
+	for i, s := range ds.Samples {
+		if holder[i] < 0 {
+			kept = append(kept, s)
+		} else {
+			pairs = append(pairs, ops.DupPair{Dropped: i, Kept: int(holder[i])})
+		}
+	}
+	return dataset.New(kept), pairs, nil
 }

@@ -247,8 +247,8 @@ func TestDocumentDedupPairsMatchReference(t *testing.T) {
 // per-band (per-chunk, per-signature) hash maps. They share only the
 // features (signatures, fingerprints, vectors), the union-find,
 // mergeFeatureless and collapse with the shipped index path, so a defect
-// in the bucket table, the sorted runs or the feature cache shows as a
-// divergence.
+// in the bucket table, the first-holder index or the feature cache shows
+// as a divergence.
 
 // verifyMembers is the oracles' bucket check: every pair of members not
 // already in one cluster is verified.
@@ -405,8 +405,9 @@ var spillCases = []struct {
 	params ops.Params
 	docs   int
 }{
-	// The exact dedup's sorted-run buffer floors at 1024 pairs, so the
-	// corpus must exceed that for runs to reach disk.
+	// The exact dedup's first-holder index flushes its delta at no fewer
+	// than 1024 keys, so the corpus must exceed that for runs to reach
+	// disk.
 	{"document_deduplicator", nil, 3000},
 	{"document_minhash_deduplicator", ops.Params{"rows_per_band": 2, "bands": 32}, 400},
 	{"document_simhash_deduplicator", ops.Params{"max_distance": 8}, 400},

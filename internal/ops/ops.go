@@ -84,9 +84,11 @@ type Deduplicator interface {
 // StreamDeduper is a Deduplicator whose duplicate verdict depends only on
 // a per-sample signature: two samples are duplicates exactly when their
 // signatures collide. Such an op does not force a pipeline barrier in the
-// streaming engine — shards consult a shared signature index in shard
-// order instead, keeping first-occurrence semantics identical to the
-// batch path. Signature must be pure and safe for concurrent calls.
+// streaming engine — shards claim their signatures in a shared
+// first-holder index (spill.DiskSet) in shard order instead. The batch
+// Dedup makes the same claim over the whole dataset as one shard, so both
+// engines keep the same samples and report the same DupPair ordinals.
+// Signature must be pure and safe for concurrent calls.
 type StreamDeduper interface {
 	Deduplicator
 	// Signature returns the sample's dedup signature.
@@ -110,7 +112,7 @@ type SpillSpec struct {
 type SpillStats struct {
 	// Spilled is true when at least one run reached disk.
 	Spilled bool
-	// Runs counts spill files (sorted runs / partitions) written.
+	// Runs counts spill files (index runs / partitions) written.
 	Runs int64
 	// SpilledBytes is the total bytes written to spill files.
 	SpilledBytes int64

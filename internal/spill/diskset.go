@@ -1,10 +1,12 @@
 package spill
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -15,37 +17,42 @@ const (
 	// maxSetRuns triggers compaction: when this many runs accumulate they
 	// are merged into one, keeping probe fan-out bounded.
 	maxSetRuns = 8
-	// deltaEntryBytes is the estimated in-memory cost of one key in the
-	// delta map (bucket slot + overhead), used to size it from the budget.
+	// deltaEntryBytes is the estimated in-memory cost of one key and its
+	// holder in the delta map (bucket slot + overhead), used to size it
+	// from the budget.
 	deltaEntryBytes = 48
 )
 
-// DiskSet is a disk-backed uint64 membership set with LSM-style levels:
-// new keys land in a bounded in-memory delta map; when the delta reaches
-// its budget it is sorted and flushed as an immutable key-only run with
-// an in-memory fence index (every fenceInterval-th key). Probes check the
-// delta, then each run via fence lookup + one block read. Runs are
-// disjoint by construction — a key is only admitted to the delta after
-// missing every run — so compaction is a simple k-way merge.
+// DiskSet is a disk-backed first-holder index over uint64 keys with
+// LSM-style levels: each key maps to the ordinal of the first item that
+// claimed it. New keys land in a bounded in-memory delta map; when the
+// delta reaches its budget it is sorted and flushed as an immutable
+// key/holder run (a DJS1 pair frame) with an in-memory fence index
+// (every fenceInterval-th key). Probes check the delta, then each run
+// via fence lookup + one key-block read, plus one 8-byte holder read on
+// a hit. Runs are disjoint by construction — a key is only admitted to
+// the delta after missing every run — so compaction is a simple k-way
+// merge.
 //
-// DiskSet is not safe for concurrent use. The streaming engine's ordered
-// signature index applies batches one at a time in stream order, so
-// first-occurrence semantics hold without any locking here.
+// DiskSet is not safe for concurrent use. Exact dedup claims batches one
+// at a time in input order (the streaming engine's ordered index one
+// shard per turn, the batch op as one shard), so first-holder semantics
+// hold without any locking here.
 type DiskSet struct {
 	dir      string
-	budget   int64
-	delta    map[uint64]struct{}
+	delta    map[uint64]uint64 // key -> first holder's ordinal
 	maxDelta int
 	runs     []*setRun
 
-	scratch  []uint64 // sorted flush scratch, reused
+	scratch  []Pair   // sorted flush scratch, reused
 	blockBuf []byte   // probe block read buffer, reused
 	blockKey []uint64 // decoded probe block, reused
+	holder   []int64  // AddBatch's claim scratch, reused
 
 	counters
 }
 
-// setRun is one immutable sorted key-only run plus its fence index.
+// setRun is one immutable sorted key/holder run plus its fence index.
 type setRun struct {
 	path     string
 	f        *os.File
@@ -54,10 +61,10 @@ type setRun struct {
 	min, max uint64
 }
 
-// NewDiskSet creates a signature set bounded by budget bytes in dir. The
-// directory is created on first flush, not up front. A budget <= 0 means
-// unbounded: the delta never flushes, the set stays a plain in-memory
-// map and dir is never touched.
+// NewDiskSet creates a first-holder index bounded by budget bytes in
+// dir. The directory is created on first flush, not up front. A budget
+// <= 0 means unbounded: the delta never flushes, the set stays a plain
+// in-memory map and dir is never touched.
 func NewDiskSet(dir string, budget int64) *DiskSet {
 	maxDelta := math.MaxInt
 	if budget > 0 {
@@ -65,34 +72,33 @@ func NewDiskSet(dir string, budget int64) *DiskSet {
 	}
 	return &DiskSet{
 		dir:      dir,
-		budget:   budget,
-		delta:    make(map[uint64]struct{}),
+		delta:    make(map[uint64]uint64),
 		maxDelta: maxDelta,
 	}
 }
 
-// AddBatch tests-and-inserts each signature in order, setting novel[i]
-// true exactly when sigs[i] was not present before this call (first
-// occurrence wins, including duplicates within the batch). Every slot
-// of novel is written: callers reuse the slice across batches, so a
-// skipped slot would leak the previous batch's verdict and let a
-// duplicate through.
-func (s *DiskSet) AddBatch(sigs []uint64, novel []bool) error {
+// Claim tests-and-inserts each key in order. holder[i] is -1 when
+// sigs[i] was new — it is then stored with ordinal base+i — and
+// otherwise the ordinal of the key's first holder, including a holder
+// earlier in the same batch. Every slot of holder is written: callers
+// reuse the slice across batches, so a skipped slot would leak the
+// previous batch's verdict.
+func (s *DiskSet) Claim(base uint64, sigs []uint64, holder []int64) error {
 	for i, sig := range sigs {
-		if _, ok := s.delta[sig]; ok {
-			novel[i] = false
+		if v, ok := s.delta[sig]; ok {
+			holder[i] = int64(v)
 			continue
 		}
-		hit, err := s.probeRuns(sig)
+		v, hit, err := s.probeRuns(sig)
 		if err != nil {
 			return err
 		}
 		if hit {
-			novel[i] = false
+			holder[i] = int64(v)
 			continue
 		}
-		novel[i] = true
-		s.delta[sig] = struct{}{}
+		holder[i] = -1
+		s.delta[sig] = base + uint64(i)
 		if len(s.delta) >= s.maxDelta {
 			if err := s.flushDelta(); err != nil {
 				return err
@@ -102,66 +108,75 @@ func (s *DiskSet) AddBatch(sigs []uint64, novel []bool) error {
 	return nil
 }
 
-// Contains reports membership without inserting.
-func (s *DiskSet) Contains(sig uint64) (bool, error) {
-	if _, ok := s.delta[sig]; ok {
-		return true, nil
+// AddBatch is Claim for callers that need only the verdict: novel[i] is
+// true exactly when sigs[i] was not present before (first occurrence
+// wins, including duplicates within the batch). Keys are stored with
+// their ordinals in this batch.
+func (s *DiskSet) AddBatch(sigs []uint64, novel []bool) error {
+	if cap(s.holder) < len(sigs) {
+		s.holder = make([]int64, len(sigs))
 	}
-	return s.probeRuns(sig)
+	holder := s.holder[:len(sigs)]
+	err := s.Claim(0, sigs, holder)
+	for i, h := range holder {
+		novel[i] = h < 0
+	}
+	return err
 }
 
-// probeRuns checks every run, newest first.
-func (s *DiskSet) probeRuns(sig uint64) (bool, error) {
+// probeRuns checks every run, newest first, returning the key's holder.
+func (s *DiskSet) probeRuns(sig uint64) (uint64, bool, error) {
 	for i := len(s.runs) - 1; i >= 0; i-- {
-		hit, err := s.probeRun(s.runs[i], sig)
-		if err != nil {
-			return false, err
-		}
-		if hit {
-			return true, nil
+		v, hit, err := s.probeRun(s.runs[i], sig)
+		if err != nil || hit {
+			return v, hit, err
 		}
 	}
-	return false, nil
+	return 0, false, nil
 }
 
-// probeRun fence-locates sig's candidate block and binary-searches it.
-func (s *DiskSet) probeRun(r *setRun, sig uint64) (bool, error) {
+// probeRun fence-locates sig's candidate block, binary-searches it and,
+// on a hit, reads the key's holder from the values column.
+func (s *DiskSet) probeRun(r *setRun, sig uint64) (uint64, bool, error) {
 	if r.count == 0 || sig < r.min || sig > r.max {
-		return false, nil
+		return 0, false, nil
 	}
 	// Greatest fence <= sig; fences[0] == r.min so idx >= 0 here.
 	idx := sort.Search(len(r.fences), func(i int) bool { return r.fences[i] > sig }) - 1
 	if idx < 0 {
-		return false, nil
+		return 0, false, nil
 	}
 	start := idx * fenceInterval
-	n := r.count - start
-	if n > fenceInterval {
-		n = fenceInterval
-	}
+	n := min(r.count-start, fenceInterval)
 	if cap(s.blockBuf) < n*8 {
 		s.blockBuf = make([]byte, n*8)
 	}
 	buf := s.blockBuf[:n*8]
 	if _, err := r.f.ReadAt(buf, frameHeaderSize+int64(start)*8); err != nil {
-		return false, fmt.Errorf("spill: probing %s: %w", r.path, err)
+		return 0, false, fmt.Errorf("spill: probing %s: %w", r.path, err)
 	}
 	s.blockKey = decodeU64s(buf, s.blockKey[:0])
-	keys := s.blockKey
-	j := sort.Search(len(keys), func(i int) bool { return keys[i] >= sig })
-	return j < len(keys) && keys[j] == sig, nil
+	j, found := slices.BinarySearch(s.blockKey, sig)
+	if !found {
+		return 0, false, nil
+	}
+	valOff := frameHeaderSize + int64(r.count)*8
+	if _, err := r.f.ReadAt(buf[:8], valOff+int64(start+j)*8); err != nil {
+		return 0, false, fmt.Errorf("spill: probing %s: %w", r.path, err)
+	}
+	return binary.LittleEndian.Uint64(buf), true, nil
 }
 
-// flushDelta sorts the delta and writes it as a new run.
+// flushDelta sorts the delta by key and writes it as a new run.
 func (s *DiskSet) flushDelta() error {
 	if len(s.delta) == 0 {
 		return nil
 	}
 	s.scratch = s.scratch[:0]
-	for k := range s.delta {
-		s.scratch = append(s.scratch, k)
+	for k, v := range s.delta {
+		s.scratch = append(s.scratch, Pair{K: k, V: v})
 	}
-	sort.Slice(s.scratch, func(i, j int) bool { return s.scratch[i] < s.scratch[j] })
+	slices.SortFunc(s.scratch, func(a, b Pair) int { return cmp.Compare(a.K, b.K) })
 	if err := s.writeRun(s.scratch); err != nil {
 		return err
 	}
@@ -172,13 +187,14 @@ func (s *DiskSet) flushDelta() error {
 	return nil
 }
 
-// writeRun persists sorted unique keys as one run and opens it for probes.
-func (s *DiskSet) writeRun(keys []uint64) error {
+// writeRun persists pairs sorted by unique key as one run and opens it
+// for probes.
+func (s *DiskSet) writeRun(pairs []Pair) error {
 	f, err := createRun(s.dir, "set-*.djs")
 	if err != nil {
 		return err
 	}
-	bp := encodeKeyFrame(keys)
+	bp := encodePairFrame(pairs)
 	_, err = f.Write(*bp)
 	n := int64(len(*bp))
 	putFrameBuf(bp)
@@ -187,9 +203,9 @@ func (s *DiskSet) writeRun(keys []uint64) error {
 		os.Remove(f.Name())
 		return err
 	}
-	r := &setRun{path: f.Name(), f: f, count: len(keys), min: keys[0], max: keys[len(keys)-1]}
-	for i := 0; i < len(keys); i += fenceInterval {
-		r.fences = append(r.fences, keys[i])
+	r := &setRun{path: f.Name(), f: f, count: len(pairs), min: pairs[0].K, max: pairs[len(pairs)-1].K}
+	for i := 0; i < len(pairs); i += fenceInterval {
+		r.fences = append(r.fences, pairs[i].K)
 	}
 	s.runs = append(s.runs, r)
 	s.account(n)
@@ -199,22 +215,24 @@ func (s *DiskSet) writeRun(keys []uint64) error {
 // compact merges all runs into one. Runs hold disjoint key sets, so the
 // merge is a plain k-way interleave of already-unique keys.
 func (s *DiskSet) compact() error {
-	var cursors []mergeCursor
+	var cursors []*runReader
+	defer func() {
+		for _, c := range cursors {
+			c.close()
+		}
+	}()
 	for _, r := range s.runs {
-		rr, err := openSetRunReader(r)
+		rr, err := openRunReader(r.path)
 		if err != nil {
 			return err
 		}
 		cursors = append(cursors, rr)
 	}
-	var merged []uint64
-	err := mergeCursors(cursors, func(k, _ uint64) error {
-		merged = append(merged, k)
+	var merged []Pair
+	err := mergeCursors(cursors, func(k, v uint64) error {
+		merged = append(merged, Pair{K: k, V: v})
 		return nil
 	})
-	for _, c := range cursors {
-		c.close()
-	}
 	if err != nil {
 		return err
 	}
@@ -230,51 +248,6 @@ func (s *DiskSet) compact() error {
 	}
 	return nil
 }
-
-// openSetRunReader adapts a key-only run to the merge cursor interface.
-func openSetRunReader(r *setRun) (mergeCursor, error) {
-	f, err := os.Open(r.path)
-	if err != nil {
-		return nil, err
-	}
-	return &setRunReader{f: f, count: r.count}, nil
-}
-
-type setRunReader struct {
-	f     *os.File
-	count int
-	pos   int
-	keys  []uint64
-	i     int
-	raw   []byte
-}
-
-func (r *setRunReader) next() (uint64, uint64, bool, error) {
-	if r.i >= len(r.keys) {
-		n := r.count - r.pos
-		if n <= 0 {
-			return 0, 0, false, nil
-		}
-		if n > runReaderBatch {
-			n = runReaderBatch
-		}
-		if cap(r.raw) < n*8 {
-			r.raw = make([]byte, n*8)
-		}
-		raw := r.raw[:n*8]
-		if _, err := r.f.ReadAt(raw, frameHeaderSize+int64(r.pos)*8); err != nil && err != io.EOF {
-			return 0, 0, false, err
-		}
-		r.keys = decodeU64s(raw, r.keys[:0])
-		r.pos += n
-		r.i = 0
-	}
-	k := r.keys[r.i]
-	r.i++
-	return k, 0, true, nil
-}
-
-func (r *setRunReader) close() { r.f.Close() }
 
 // Stats reports runs and bytes written (compaction output included).
 func (s *DiskSet) Stats() Stats { return s.snapshot() }

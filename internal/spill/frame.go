@@ -18,8 +18,8 @@ import (
 //	...        values column: count x uint64 (only if flag bit 0)
 //
 // Columns rather than interleaved records keep merge readers sequential
-// per column and let key-only structures (the signature set) skip the
-// value column entirely.
+// per column and let a probe binary-search a block of keys without
+// reading the values beside them.
 const (
 	frameHeaderSize = 16
 	frameVersion    = 1
@@ -103,17 +103,6 @@ func encodePairFrame(pairs []Pair) *[]byte {
 	for i, p := range pairs {
 		binary.LittleEndian.PutUint64(buf[keyOff+i*8:], p.K)
 		binary.LittleEndian.PutUint64(buf[valOff+i*8:], p.V)
-	}
-	return bp
-}
-
-// encodeKeyFrame encodes keys as a key-only frame into a pooled buffer.
-func encodeKeyFrame(keys []uint64) *[]byte {
-	bp := getFrameBuf(frameSize(len(keys), false))
-	buf := *bp
-	putFrameHeader(buf, len(keys), false)
-	for i, k := range keys {
-		binary.LittleEndian.PutUint64(buf[frameHeaderSize+i*8:], k)
 	}
 	return bp
 }

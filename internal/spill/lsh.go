@@ -1,8 +1,10 @@
 package spill
 
 import (
+	"cmp"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -10,6 +12,19 @@ const (
 	maxPartitions = 4096
 	minPartitions = 2
 )
+
+// pairBytes is the in-memory footprint of one buffered Pair.
+const pairBytes = 16
+
+// sortPairs orders records by (key, value).
+func sortPairs(pairs []Pair) {
+	slices.SortFunc(pairs, func(a, b Pair) int {
+		if c := cmp.Compare(a.K, b.K); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.V, b.V)
+	})
+}
 
 // LSH is a bucket table for locality-sensitive-hash candidate
 // generation: callers Add (bucketKey, docIndex) records during the

@@ -1,7 +1,8 @@
 // Package spill provides bounded-memory external data structures for the
-// deduplication operators: sorted runs with k-way external merge (exact
-// dedup), a disk-backed signature set for the streaming shared index, and
-// a partitioned on-disk LSH bucket table (minhash / simhash / vector).
+// deduplication operators: a disk-backed first-holder index (exact
+// dedup, one claim path for the batch op and the streaming engine's
+// shared index; its runs compact through a k-way merge), and a
+// partitioned on-disk LSH bucket table (minhash / simhash / vector).
 //
 // All structures share one binary columnar frame format ("DJS1"): a
 // 16-byte header followed by a keys column and an optional values column,
@@ -22,7 +23,7 @@ import (
 )
 
 // Stats reports what a structure actually wrote. Runs counts spill files
-// (sorted runs, set runs, LSH partitions); Bytes is the total bytes
+// (index runs, LSH partitions); Bytes is the total bytes
 // written to disk. Both stay zero when everything fit in memory.
 type Stats struct {
 	Runs  int64
@@ -66,13 +67,4 @@ func createRun(dir, pattern string) (*os.File, error) {
 		return nil, err
 	}
 	return os.CreateTemp(dir, pattern)
-}
-
-// removeAll deletes the given files, ignoring not-exist errors.
-func removeAll(paths []string) {
-	for _, p := range paths {
-		if p != "" {
-			os.Remove(p)
-		}
-	}
 }

@@ -2,6 +2,9 @@ package spill
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -41,11 +44,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	// Key-only frames refuse to decode as pairs.
-	kb := encodeKeyFrame([]uint64{1, 2})
-	if _, err := decodePairFrames(*kb, nil); err == nil {
+	kb := make([]byte, frameSize(2, false))
+	putFrameHeader(kb, 2, false)
+	if _, err := decodePairFrames(kb, nil); err == nil {
 		t.Fatal("decodePairFrames accepted a key-only frame")
 	}
-	putFrameBuf(kb)
 }
 
 func TestFrameHeaderRejectsGarbage(t *testing.T) {
@@ -57,95 +60,12 @@ func TestFrameHeaderRejectsGarbage(t *testing.T) {
 	if _, _, err := parseFrameHeader(bad); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	bp := encodeKeyFrame([]uint64{1})
+	bp := encodePairFrame([]Pair{{K: 1}})
 	(*bp)[4] = 99
 	if _, _, err := parseFrameHeader(*bp); err == nil {
 		t.Fatal("bad version accepted")
 	}
 	putFrameBuf(bp)
-}
-
-// TestSortedRunsMerge checks the external merge emits every record in
-// global (key, value) order, across both the in-memory fast path and a
-// genuinely spilled multi-run shape.
-func TestSortedRunsMerge(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		budget int64
-		n      int
-	}{
-		{"in-memory", 1 << 30, 5000},
-		{"spilled", 1, 50000}, // budget floor => 1024-pair runs => ~48 runs
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := NewSortedRuns(t.TempDir(), tc.budget)
-			defer r.Close()
-			rng := rand.New(rand.NewSource(7))
-			want := make([]Pair, tc.n)
-			for i := range want {
-				p := Pair{K: rng.Uint64() % 997, V: uint64(i)}
-				want[i] = p
-				if err := r.Add(p.K, p.V); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sortPairs(want)
-			var got []Pair
-			if err := r.Merge(func(k, v uint64) error {
-				got = append(got, Pair{K: k, V: v})
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("merged %d records, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
-				}
-			}
-			st := r.Stats()
-			if tc.name == "spilled" && (st.Runs < 2 || st.Bytes == 0) {
-				t.Fatalf("spilled case wrote %d runs / %d bytes, want >= 2 runs", st.Runs, st.Bytes)
-			}
-			if tc.name == "in-memory" && st.Runs != 0 {
-				t.Fatalf("in-memory case wrote %d runs, want 0", st.Runs)
-			}
-		})
-	}
-}
-
-// TestSortedRunsUnbounded: a budget <= 0 never flushes, so the runs
-// never touch their directory and Merge is one in-memory sort.
-func TestSortedRunsUnbounded(t *testing.T) {
-	for _, budget := range []int64{0, -1} {
-		r := NewSortedRuns("/nonexistent/never-created", budget)
-		const n = 50000
-		for i := 0; i < n; i++ {
-			if err := r.Add(uint64(i%30000), uint64(n-i)); err != nil {
-				t.Fatalf("budget %d: %v", budget, err)
-			}
-		}
-		var prev Pair
-		got := 0
-		if err := r.Merge(func(k, v uint64) error {
-			p := Pair{K: k, V: v}
-			if got > 0 && (p.K < prev.K || p.K == prev.K && p.V <= prev.V) {
-				t.Fatalf("budget %d: record %d = %+v after %+v", budget, got, p, prev)
-			}
-			prev = p
-			got++
-			return nil
-		}); err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		if st := r.Stats(); got != n || st.Runs != 0 || st.Bytes != 0 {
-			t.Fatalf("budget %d: merged %d records, %d runs, %d bytes; want %d, 0, 0",
-				budget, got, st.Runs, st.Bytes, n)
-		}
-		r.Close()
-	}
 }
 
 // TestDiskSetMatchesMap drives a DiskSet with a tiny budget (forcing
@@ -189,17 +109,132 @@ func TestDiskSetMatchesMap(t *testing.T) {
 	if st := s.Stats(); st.Runs < maxSetRuns+1 {
 		t.Fatalf("expected flushes + compaction, got %d runs written", st.Runs)
 	}
-	// Spot-check membership probes after compaction.
-	for sig := uint64(0); sig < 12000; sig += 13 {
-		got, err := s.Contains(sig)
-		if err != nil {
+}
+
+// TestDiskSetFirstHolder pins Claim's first-holder ordinals wherever
+// the key lives: in the delta, in a flushed run, and in the run that
+// compaction folded more than maxSetRuns flushes into.
+func TestDiskSetFirstHolder(t *testing.T) {
+	claim := func(s *DiskSet, base uint64, sigs ...uint64) []int64 {
+		t.Helper()
+		holder := make([]int64, len(sigs))
+		for i := range holder {
+			holder[i] = 99 // dirty: every slot must be written
+		}
+		if err := s.Claim(base, sigs, holder); err != nil {
 			t.Fatal(err)
 		}
-		_, want := ref[sig]
-		if got != want {
-			t.Fatalf("Contains(%d) = %v, want %v", sig, got, want)
-		}
+		return holder
 	}
+
+	// Delta: a repeat in the same batch and in a later one.
+	s := NewDiskSet(t.TempDir(), 1)
+	defer s.Close()
+	if got := claim(s, 10, 5, 7, 5); !slices.Equal(got, []int64{-1, -1, 10}) {
+		t.Fatalf("delta batch = %v, want [-1 -1 10]", got)
+	}
+	if got := claim(s, 13, 7, 8); !slices.Equal(got, []int64{11, -1}) {
+		t.Fatalf("delta repeat = %v, want [11 -1]", got)
+	}
+
+	// Flushed run: the 1024-entry delta floor flushes on the 1024th key.
+	base := uint64(100)
+	keys := make([]uint64, 1024-3)
+	for i := range keys {
+		keys[i] = 1000 + uint64(i)*3
+	}
+	claim(s, base, keys...)
+	if st := s.Stats(); st.Runs != 1 || len(s.delta) != 0 {
+		t.Fatalf("after 1024 keys: %d runs, %d in delta; want 1, 0", st.Runs, len(s.delta))
+	}
+	if got := claim(s, 5000, keys[500], 7, 2); !slices.Equal(got, []int64{int64(base) + 500, 11, -1}) {
+		t.Fatalf("run hit = %v, want [%d 11 -1]", got, base+500)
+	}
+
+	// Compaction: enough distinct keys for more than maxSetRuns flushes.
+	base = 1 << 20
+	wide := make([]uint64, (maxSetRuns+2)*1024)
+	for i := range wide {
+		wide[i] = 1<<40 + uint64(i)*7
+	}
+	claim(s, base, wide...)
+	if st := s.Stats(); st.Runs <= maxSetRuns || len(s.runs) >= maxSetRuns {
+		t.Fatalf("%d runs written, %d live; want > %d written and compaction", st.Runs, len(s.runs), maxSetRuns)
+	}
+	probe := []uint64{wide[0], wide[4097], wide[len(wide)-1], keys[0], 5, 1<<40 + 1}
+	want := []int64{int64(base), int64(base) + 4097, int64(base) + int64(len(wide)) - 1, 100, 10, -1}
+	if got := claim(s, 1<<30, probe...); !slices.Equal(got, want) {
+		t.Fatalf("after compaction = %v, want %v", got, want)
+	}
+	if s.Len() != 4+len(keys)+len(wide)+1 {
+		t.Fatalf("Len() = %d, want %d", s.Len(), 4+len(keys)+len(wide)+1)
+	}
+
+	// A budget <= 0 never creates its directory.
+	for _, budget := range []int64{0, -1} {
+		dir := filepath.Join(t.TempDir(), "never")
+		u := NewDiskSet(dir, budget)
+		claim(u, 0, wide...)
+		if got := claim(u, 0, wide[9000]); got[0] != 9000 {
+			t.Fatalf("budget %d: holder %d, want 9000", budget, got[0])
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("budget %d: dir stat err = %v, want not-exist", budget, err)
+		}
+		u.Close()
+	}
+}
+
+// FuzzDiskSetClaim checks Claim against a map first-holder oracle. Each
+// input byte is one batch: the byte and the batch's position pick a span
+// of consecutive keys in a 16384-key space, so a few dozen bytes cross
+// the 1024-entry delta floor many times (flushes, then compaction) while
+// keys repeat across and within batches.
+func FuzzDiskSetClaim(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add([]byte{255, 254, 7, 7, 7, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		for _, budget := range []int64{0, 1 << 10} {
+			s := NewDiskSet(t.TempDir(), budget)
+			oracle := map[uint64]int64{}
+			var base uint64
+			for bi, b := range data {
+				n := 128 * (int(b&3) + 1)
+				start := uint64(b)*64 + uint64(bi)*1031
+				sigs := make([]uint64, n)
+				for i := range sigs {
+					// The last quarter of every span repeats its
+					// own first keys.
+					sigs[i] = (start + uint64(i%(n-n/4))) % 16384
+				}
+				holder := make([]int64, n)
+				if err := s.Claim(base, sigs, holder); err != nil {
+					t.Fatal(err)
+				}
+				for i, sig := range sigs {
+					want, seen := oracle[sig]
+					if !seen {
+						want = -1
+						oracle[sig] = int64(base) + int64(i)
+					}
+					if holder[i] != want {
+						t.Fatalf("budget %d batch %d key %d: holder %d, want %d", budget, bi, sig, holder[i], want)
+					}
+				}
+				base += uint64(n)
+			}
+			if s.Len() != len(oracle) {
+				t.Fatalf("budget %d: Len() = %d, want %d", budget, s.Len(), len(oracle))
+			}
+			if budget <= 0 && s.Stats().Runs != 0 {
+				t.Fatalf("unbounded set wrote %d runs", s.Stats().Runs)
+			}
+			s.Close()
+		}
+	})
 }
 
 // TestDiskSetUnbounded: a budget <= 0 never flushes, so the set never

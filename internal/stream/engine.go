@@ -696,9 +696,9 @@ func (p *phaseRun) runIndex(si int, st stage, shardIdx int, d *dataset.Dataset, 
 	for i, s := range d.Samples {
 		sigs[i] = st.dedup.Signature(s)
 	}
-	novel := make([]bool, len(sigs))
+	holder := make([]int64, len(sigs))
 	x := p.indexes[si]
-	wait, err := x.Claim(shardIdx, sigs, novel, p.abort)
+	base, wait, err := x.Claim(shardIdx, sigs, holder, p.abort)
 	if err == errAborted {
 		return nil, errAborted
 	}
@@ -706,10 +706,23 @@ func (p *phaseRun) runIndex(si int, st stage, shardIdx int, d *dataset.Dataset, 
 		return nil, fmt.Errorf("stream: op %d (%s) signature index: %w",
 			st.planIdx[0], st.dedup.Name(), err)
 	}
+	// Dup pairs carry op-input ordinals, as in the batch op. The kept
+	// text is at hand only when its holder sits in this shard.
+	tr := p.eng.runner.Tracer()
 	var kept []*sample.Sample
+	var dups []trace.DupPair
 	for i, s := range d.Samples {
-		if novel[i] {
+		h := holder[i]
+		if h < 0 {
 			kept = append(kept, s)
+			continue
+		}
+		if tr != nil && len(dups) < tr.MaxPerOp() {
+			dp := trace.DupPair{KeptIdx: int(h), DroppedIdx: int(base) + i, Dropped: s.Text}
+			if uint64(h) >= base {
+				dp.Kept = d.Samples[uint64(h)-base].Text
+			}
+			dups = append(dups, dp)
 		}
 	}
 
@@ -735,10 +748,11 @@ func (p *phaseRun) runIndex(si int, st stage, shardIdx int, d *dataset.Dataset, 
 			DurNS: int64(time.Since(opStart)), Workers: 1,
 		})
 	}
-	if tr := p.eng.runner.Tracer(); tr != nil {
+	if tr != nil {
 		tr.Record(trace.Event{
 			OpName: st.dedup.Name(), Kind: "deduplicator",
 			InCount: d.Len(), OutCount: out.Len(), Duration: time.Since(opStart),
+			DupPairs: dups,
 		})
 	}
 	return out, nil

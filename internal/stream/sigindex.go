@@ -14,10 +14,12 @@ import (
 // turnstile is the ordered signature index of one stageIndex stage.
 // Shards apply their signature batches strictly in shard order, so
 // "first occurrence kept" means the same thing it does in the batch
-// engine; the expensive part — computing signatures — happens before a
-// shard takes its turn, so the serialized section is just membership
-// probes. A shard whose turn has not come parks on its own channel;
-// the shard before it, once applied, advances the cursor and wakes it.
+// engine, and a running count of claimed samples is each sample's
+// ordinal in the op's input — the index the batch op reports. The
+// expensive part — computing signatures — happens before a shard takes
+// its turn, so the serialized section is just index probes. A shard
+// whose turn has not come parks on its own channel; the shard before
+// it, once applied, advances the cursor and wakes it.
 //
 // The pool's work channel delivers shards in index order, so the lowest
 // in-flight shard is always held by some worker and never waits: the
@@ -27,7 +29,8 @@ type turnstile struct {
 	next    int                   // the shard whose turn it is
 	waiting map[int]chan struct{} // shards parked until their turn
 	idx     *spill.DiskSet
-	err     error // sticky: the first AddBatch failure fails every later claim
+	claimed uint64 // samples claimed so far: the next shard's base ordinal
+	err     error  // sticky: the first index failure fails every later claim
 
 	waits  atomic.Int64 // claims that had to wait for their turn
 	waitNS atomic.Int64 // summed turn wait
@@ -37,15 +40,16 @@ func newTurnstile(idx *spill.DiskSet) *turnstile {
 	return &turnstile{waiting: map[int]chan struct{}{}, idx: idx}
 }
 
-// Claim waits for shardIdx's turn, then tests-and-inserts its signatures,
-// filling novel (aligned with sigs) with the first-occurrence verdicts.
-// It returns the turn wait separately so callers can exclude queueing
-// from cost signals. abort wakes the wait early with errAborted.
+// Claim waits for shardIdx's turn, then claims its signatures in the
+// index (spill.DiskSet.Claim), filling holder (aligned with sigs): -1 for
+// a first occurrence, otherwise the op-input ordinal of the sample that
+// holds the signature. It returns the shard's base ordinal (its first
+// sample's) and the turn wait, separately so callers can exclude
+// queueing from cost signals. abort wakes the wait early with errAborted.
 //
 // Every shard of the phase must claim every stage exactly once, empty
 // shards included, so the cursor advances past them.
-func (t *turnstile) Claim(shardIdx int, sigs []uint64, novel []bool, abort <-chan struct{}) (time.Duration, error) {
-	var wait time.Duration
+func (t *turnstile) Claim(shardIdx int, sigs []uint64, holder []int64, abort <-chan struct{}) (base uint64, wait time.Duration, err error) {
 	t.mu.Lock()
 	if shardIdx != t.next {
 		turn := make(chan struct{})
@@ -55,24 +59,26 @@ func (t *turnstile) Claim(shardIdx int, sigs []uint64, novel []bool, abort <-cha
 		select {
 		case <-turn:
 		case <-abort:
-			return time.Since(start), errAborted
+			return 0, time.Since(start), errAborted
 		}
 		wait = time.Since(start)
 		t.waits.Add(1)
 		t.waitNS.Add(int64(wait))
 		t.mu.Lock()
 	}
+	base = t.claimed
 	if t.err == nil {
-		t.err = t.idx.AddBatch(sigs, novel[:len(sigs)])
+		t.err = t.idx.Claim(base, sigs, holder[:len(sigs)])
 	}
-	err := t.err
+	err = t.err
+	t.claimed += uint64(len(sigs))
 	t.next++
 	if turn, ok := t.waiting[t.next]; ok {
 		delete(t.waiting, t.next)
 		close(turn)
 	}
 	t.mu.Unlock()
-	return wait, err
+	return base, wait, err
 }
 
 // Stats reports the index's spill activity.
@@ -87,8 +93,8 @@ func (t *turnstile) WaitStats() (claims int64, wait time.Duration) {
 	return t.waits.Load(), time.Duration(t.waitNS.Load())
 }
 
-// newSigIndex builds the membership set behind one shared-index stage: a
-// disk-backed LSM set of internal/spill bounded by the stage's planner-
+// newSigIndex builds the first-holder index behind one shared-index
+// stage: a disk-backed LSM set of internal/spill bounded by the stage's planner-
 // assigned spill budget (its share of -target-mem-mb) when it has one and
 // the recipe has a work dir, otherwise the same set unbounded, which
 // never leaves memory. phaseIdx/stageIdx keep the stages' spill

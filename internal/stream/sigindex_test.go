@@ -17,8 +17,8 @@ var raceDetectorEnabled bool
 
 // TestTurnstileStress hammers the ordered index with concurrent shards
 // that arrive out of order (seeded jitter before each claim) over a
-// duplicate-heavy signature stream, and checks every verdict against a
-// serial first-occurrence reference. Run under -race this doubles as the
+// duplicate-heavy signature stream, and checks every holder ordinal and
+// every shard's base ordinal against a serial first-holder reference. Run under -race this doubles as the
 // data-race proof for the park/apply/wake protocol.
 func TestTurnstileStress(t *testing.T) {
 	const (
@@ -38,26 +38,32 @@ func TestTurnstileStress(t *testing.T) {
 		jitter[s] = time.Duration(rng.Intn(500)) * time.Microsecond
 	}
 
-	// Serial reference: first occurrence in (shard, position) order.
-	want := make([][]bool, shards)
-	seen := map[uint64]struct{}{}
+	// Serial reference: first holder in (shard, position) order, as an
+	// ordinal over the concatenated shards.
+	want := make([][]int64, shards)
+	first := map[uint64]int64{}
 	for s := range sigs {
-		want[s] = make([]bool, batch)
+		want[s] = make([]int64, batch)
 		for i, sig := range sigs[s] {
-			if _, dup := seen[sig]; !dup {
-				seen[sig] = struct{}{}
-				want[s][i] = true
+			h, dup := first[sig]
+			if !dup {
+				h = -1
+				first[sig] = int64(s*batch + i)
 			}
+			want[s][i] = h
 		}
 	}
 
 	x := newTurnstile(spill.NewDiskSet("", 0))
-	got := make([][]bool, shards)
+	got := make([][]int64, shards)
+	bases := make([]uint64, shards)
 	abort := make(chan struct{})
 	// Shards are handed out in index order, as the engine's pool does:
 	// that keeps the lowest in-flight shard held and the turnstile live.
 	work := make(chan int)
-	errs := make(chan error, goroutines)
+	// A failed claim keeps its worker draining work: a worker that quit
+	// would strand the later shards and hang the test instead of failing.
+	errs := make(chan error, shards)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -65,12 +71,13 @@ func TestTurnstileStress(t *testing.T) {
 			defer wg.Done()
 			for s := range work {
 				time.Sleep(jitter[s])
-				novel := make([]bool, batch)
-				if _, err := x.Claim(s, sigs[s], novel, abort); err != nil {
+				holder := make([]int64, batch)
+				base, _, err := x.Claim(s, sigs[s], holder, abort)
+				if err != nil {
 					errs <- err
-					return
+					continue
 				}
-				got[s] = novel
+				got[s], bases[s] = holder, base
 			}
 		}()
 	}
@@ -84,9 +91,12 @@ func TestTurnstileStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range want {
+		if bases[s] != uint64(s*batch) {
+			t.Fatalf("shard %d: base %d, want %d", s, bases[s], s*batch)
+		}
 		for i := range want[s] {
 			if got[s][i] != want[s][i] {
-				t.Fatalf("shard %d pos %d: novel=%v, want %v", s, i, got[s][i], want[s][i])
+				t.Fatalf("shard %d pos %d: holder %d, want %d", s, i, got[s][i], want[s][i])
 			}
 		}
 	}
@@ -105,8 +115,7 @@ func TestTurnstileAbort(t *testing.T) {
 	abort := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		novel := make([]bool, 2)
-		_, err := x.Claim(1, []uint64{1, 2}, novel, abort) // shard 0 never claims
+		_, _, err := x.Claim(1, []uint64{1, 2}, make([]int64, 2), abort) // shard 0 never claims
 		errc <- err
 	}()
 	select {
@@ -144,7 +153,7 @@ func TestTurnstileStickyError(t *testing.T) {
 
 	waiting := make(chan error, 1)
 	go func() {
-		_, err := x.Claim(2, []uint64{1}, make([]bool, 1), abort)
+		_, _, err := x.Claim(2, []uint64{1}, make([]int64, 1), abort)
 		waiting <- err
 	}()
 
@@ -152,11 +161,11 @@ func TestTurnstileStickyError(t *testing.T) {
 	for i := range sigs {
 		sigs[i] = uint64(i)
 	}
-	_, first := x.Claim(0, sigs, make([]bool, len(sigs)), abort)
+	_, _, first := x.Claim(0, sigs, make([]int64, len(sigs)), abort)
 	if first == nil {
 		t.Fatal("claim that overflowed into an unwritable spill dir succeeded")
 	}
-	if _, err := x.Claim(1, []uint64{5000}, make([]bool, 1), abort); err != first {
+	if _, _, err := x.Claim(1, []uint64{5000}, make([]int64, 1), abort); err != first {
 		t.Fatalf("later claim returned %v, want the sticky %v", err, first)
 	}
 	select {
@@ -184,14 +193,14 @@ func TestTurnstileClaimAllocs(t *testing.T) {
 	for i := range sigs {
 		sigs[i] = uint64(i % 512)
 	}
-	novel := make([]bool, batch)
+	holder := make([]int64, batch)
 	abort := make(chan struct{})
 	x := newTurnstile(spill.NewDiskSet("", 0))
 	shard := 0
-	x.Claim(shard, sigs, novel, abort) // warm: populate the set
+	x.Claim(shard, sigs, holder, abort) // warm: populate the set
 	shard++
 	got := testing.AllocsPerRun(100, func() {
-		x.Claim(shard, sigs, novel, abort)
+		x.Claim(shard, sigs, holder, abort)
 		shard++
 	})
 	if got > 0 {

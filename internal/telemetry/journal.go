@@ -129,7 +129,7 @@ type Event struct {
 	RawBytesRecv int64 `json:"raw_bytes_recv,omitempty"`
 	DeltaStages  int   `json:"delta_stages,omitempty"`
 
-	// SpillRuns counts the spill files (sorted runs / LSH partitions) a
+	// SpillRuns counts the spill files (index runs / LSH partitions) a
 	// dedup index wrote; Bytes carries the spilled bytes (spill events).
 	SpillRuns int64 `json:"spill_runs,omitempty"`
 

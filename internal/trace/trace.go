@@ -26,10 +26,15 @@ type Discard struct {
 	Stats map[string]float64 `json:"stats,omitempty"`
 }
 
-// DupPair records one Deduplicator removal.
+// DupPair records one Deduplicator removal. KeptIdx and DroppedIdx are
+// the two samples' ordinals in the op's input, on every engine. Kept is
+// empty when the engine no longer has the kept sample at hand (a
+// streaming run whose holder sat in an earlier shard).
 type DupPair struct {
-	Kept    string `json:"kept"`
-	Dropped string `json:"dropped"`
+	Kept       string `json:"kept"`
+	Dropped    string `json:"dropped"`
+	KeptIdx    int    `json:"kept_idx"`
+	DroppedIdx int    `json:"dropped_idx"`
 }
 
 // Event is the lineage record of one operator. Records for the same

@@ -1,6 +1,6 @@
 // Cross-backend conformance for disk-backed dedup: a -target-mem-mb
-// budget must change where dedup index state lives (RAM vs sorted runs /
-// LSH partitions / the streaming signature index's LSM set on disk)
+// budget must change where dedup index state lives (RAM vs the exact
+// dedup's first-holder index runs / LSH partitions on disk)
 // without changing a single exported byte, on either backend.
 package repro_test
 
@@ -17,9 +17,9 @@ import (
 	"repro/internal/stream"
 )
 
-// spillConformanceRecipe pairs the shared-index exact dedup (DiskSet path
-// on the stream backend, sorted runs on batch) with the
-// minhash barrier (partitioned on-disk LSH on both backends).
+// spillConformanceRecipe pairs the exact dedup (one DiskSet claim on
+// both backends) with the minhash barrier (partitioned on-disk LSH on
+// both backends).
 func spillConformanceRecipe(workDir string, targetMemMB int) *config.Recipe {
 	r := config.Default()
 	r.ProjectName = "spill-conformance"
