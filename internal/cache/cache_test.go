@@ -203,6 +203,20 @@ func TestKeyDistinguishesParams(t *testing.T) {
 	}
 }
 
+// TestKeySchemaPinned pins Key for one fixed input. The key must change
+// whenever keySchema is bumped, so entries written before a deliberate
+// output change miss; fb0e8d017e9e00b6 is this input's key at schema 1,
+// before the key mixed in a schema at all.
+func TestKeySchemaPinned(t *testing.T) {
+	got := Key("abc", "document_minhash_deduplicator", ops.Params{"jaccard_threshold": 0.7})
+	if got == "fb0e8d017e9e00b6" {
+		t.Fatal("key equals its schema-1 value: stale cache entries would hit")
+	}
+	if want := "afea20eb921adcc4"; got != want {
+		t.Fatalf("key = %s, want %s (bump keySchema and re-pin on a deliberate output change)", got, want)
+	}
+}
+
 func TestCheckpointSaveResume(t *testing.T) {
 	dir := t.TempDir()
 	m, err := NewCheckpointManager(dir, "lzj")

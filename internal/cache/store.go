@@ -37,11 +37,18 @@ func NewStore(dir, compression string) (*Store, error) {
 	return &Store{dir: dir, codec: codec}, nil
 }
 
+// keySchema is mixed into every Key. Bump it when an op's output changes
+// on purpose (same name and params, different samples out), so cache
+// entries and checkpoints written by an older build miss instead of
+// serving the old output. 2: MinHash signatures became one-permutation
+// with threshold-derived banding.
+const keySchema = 2
+
 // Key derives the cache key for applying an operator (with params) to a
 // dataset state identified by inputFingerprint.
 func Key(inputFingerprint, opName string, params ops.Params) string {
 	h := fnv.New64a()
-	fmt.Fprint(h, inputFingerprint, "\x00", opName, "\x00")
+	fmt.Fprint(h, "schema=", keySchema, "\x00", inputFingerprint, "\x00", opName, "\x00")
 	keys := make([]string, 0, len(params))
 	for k := range params {
 		keys = append(keys, k)

@@ -209,8 +209,8 @@ func collapse(d *dataset.Dataset, uf *unionFind) (*dataset.Dataset, []ops.DupPai
 	return dataset.New(kept), pairs
 }
 
-// splitmix64 is the standard avalanche mixer; it derives the independent
-// hash families for MinHash from a single base hash.
+// splitmix64 is the standard avalanche mixer: it hashes shingles into
+// MinHash bins and values, and folds signature rows into band keys.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -109,8 +109,28 @@ func TestRollingShinglesPreserveJaccard(t *testing.T) {
 	}
 }
 
-// refMinhash is the previous minhash deduplicator: identical in every
-// respect except shingle hashing (joined-string FNV).
+// refSignature is the k-permutation MinHash signature the one-permutation
+// signature replaced: k hash families chained through splitmix64, each
+// shingle hashed once per family, each family keeping its minimum.
+func refSignature(shingles []uint64, k int) []uint64 {
+	sig := make([]uint64, k)
+	for i := range sig {
+		sig[i] = ^uint64(0)
+	}
+	for _, sh := range shingles {
+		x := sh
+		for i := 0; i < k; i++ {
+			x = splitmix64(x + uint64(i)*0x9e3779b97f4a7c15)
+			if x < sig[i] {
+				sig[i] = x
+			}
+		}
+	}
+	return sig
+}
+
+// refMinhash is the previous minhash deduplicator: joined-string FNV
+// shingles, k-permutation signatures and a resident per-band bucket map.
 type refMinhash struct{ minhashDedup }
 
 func (d *refMinhash) Dedup(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops.DupPair, error) {
@@ -120,7 +140,7 @@ func (d *refMinhash) Dedup(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops
 	err := ds.MapIndexed(np, func(i int, s *sample.Sample) error {
 		t, _ := s.GetString(d.textKey)
 		shingleSets[i] = refWordShingles(t, d.shingle)
-		signatures[i] = d.signature(shingleSets[i])
+		signatures[i] = refSignature(shingleSets[i], d.signatureSize())
 		return nil
 	})
 	if err != nil {
@@ -164,15 +184,16 @@ func (d *refMinhash) Dedup(ds *dataset.Dataset, np int) (*dataset.Dataset, []ops
 }
 
 // TestMinhashDupPairsMatchReference runs the shipped minhash dedup and
-// the joined-string reference over seeded duplicate-heavy corpora and
-// requires identical dup-pair output. The banding here uses short rows
-// (rows_per_band=2, bands=32) so any pair at or above the verification
-// threshold is a candidate with near-certainty under BOTH hash families
-// — output equality then follows from jaccard preservation, without
-// depending on which borderline pairs happen to collide in a band. (At
-// the default 16×8 banding, candidate generation for pairs near the
-// threshold is genuinely probabilistic and differs across hash
-// families; that is inherent to LSH, not a property of the shingler.)
+// the reference (joined-string shingles, k-permutation signatures) over
+// seeded duplicate-heavy corpora and requires identical dup-pair output.
+// The banding here uses short rows (rows_per_band=2, bands=32) so any
+// pair at or above the verification threshold is a candidate with
+// near-certainty under BOTH signature schemes — output equality then
+// follows from jaccard preservation, without depending on which
+// borderline pairs happen to collide in a band. (At the derived banding,
+// candidate generation for pairs near the threshold is genuinely
+// probabilistic and differs across hash families; that is inherent to
+// LSH, not a property of the shingler or the signature.)
 func TestMinhashDupPairsMatchReference(t *testing.T) {
 	for _, seed := range []int64{1, 33, 77} {
 		d := corpus.Web(corpus.Options{Docs: 250, Seed: seed, DupExact: 0.12, DupNear: 0.13})
@@ -285,7 +306,8 @@ func oracleMinhash(d *minhashDedup, ds *dataset.Dataset) (*dataset.Dataset, []op
 		t, _ := s.GetString(d.textKey)
 		shingleSets[i] = wordShingles(t, d.shingle)
 		if len(shingleSets[i]) > 0 {
-			signatures[i] = d.signature(shingleSets[i])
+			signatures[i] = make([]uint64, d.signatureSize())
+			signature(shingleSets[i], signatures[i])
 		}
 	}
 	uf := newUnionFind(n)

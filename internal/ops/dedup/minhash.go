@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dataset"
 	"repro/internal/ops"
@@ -12,20 +13,28 @@ import (
 func init() {
 	ops.Register("document_minhash_deduplicator", ops.CategoryDeduplicator, "general,web",
 		func(p ops.Params) (ops.OP, error) {
-			bands := p.Int("bands", 16)
-			rows := p.Int("rows_per_band", 8)
-			if bands <= 0 || rows <= 0 {
+			threshold := p.Float("jaccard_threshold", 0.7)
+			if !(threshold > 0 && threshold <= 1) {
+				return nil, fmt.Errorf("jaccard_threshold must be in (0, 1], got %v", threshold)
+			}
+			// Unset bands / rows_per_band (0) are derived from the
+			// threshold; explicit ones must be positive.
+			bands, rows := p.Int("bands", 0), p.Int("rows_per_band", 0)
+			_, setBands := p["bands"]
+			_, setRows := p["rows_per_band"]
+			if (setBands && bands <= 0) || (setRows && rows <= 0) {
 				return nil, fmt.Errorf("bands and rows_per_band must be positive")
 			}
 			if p.Int("shingle_size", 5) <= 0 {
 				return nil, fmt.Errorf("shingle_size must be positive")
 			}
+			bands, rows = deriveBanding(threshold, bands, rows)
 			return &minhashDedup{
 				textKey:   p.String("text_key", "text"),
 				shingle:   p.Int("shingle_size", 5),
 				bands:     bands,
 				rows:      rows,
-				threshold: p.Float("jaccard_threshold", 0.7),
+				threshold: threshold,
 			}, nil
 		})
 }
@@ -49,24 +58,90 @@ func (d *minhashDedup) Name() string { return "document_minhash_deduplicator" }
 
 func (d *minhashDedup) signatureSize() int { return d.bands * d.rows }
 
-// signature computes the MinHash signature of a shingle set using k hash
-// families derived from splitmix64.
-func (d *minhashDedup) signature(shingles []uint64) []uint64 {
-	k := d.signatureSize()
-	sig := make([]uint64, k)
+// maxHashedProbes bounds densification's hashed probes per empty bin;
+// past it the bin takes the next occupied bin after it, so a signature
+// terminates on any non-empty set and sparse sets stay cheap.
+const maxHashedProbes = 16
+
+// signature writes the one-permutation MinHash signature (Li, Owen &
+// Zhang, 2012) of a shingle set into sig, whose length is the bin count
+// k. Each shingle is hashed once: the hash's high 32 bits pick its bin by
+// multiply-shift, so bins partition the hash range, and the hash itself
+// is the value each bin minimises. Empty bins are then filled by optimal
+// densification (Shrivastava, 2017): bin j copies the first occupied bin
+// of its own probe sequence, which depends only on j, so
+// P(sig_A[j] == sig_B[j]) stays the Jaccard similarity of A and B for
+// every bin. An empty shingle set leaves every bin at ^0; callers route
+// such documents to the featureless path instead.
+func signature(shingles []uint64, sig []uint64) {
+	k := uint64(len(sig))
 	for i := range sig {
 		sig[i] = ^uint64(0)
 	}
+	// Probes read the occupancy before densification, not bins already
+	// filled by it, or every probe landing behind j would stop early.
+	var occBuf [maxSignature / 64]uint64
+	occ := occBuf[:]
+	if len(sig) > maxSignature {
+		occ = make([]uint64, (len(sig)+63)/64)
+	}
 	for _, sh := range shingles {
-		x := sh
-		for i := 0; i < k; i++ {
-			x = splitmix64(x + uint64(i)*0x9e3779b97f4a7c15)
-			if x < sig[i] {
-				sig[i] = x
-			}
+		h := splitmix64(sh)
+		b := (h >> 32) * k >> 32
+		occ[b>>6] |= 1 << (b & 63)
+		sig[b] = min(sig[b], h)
+	}
+	filled := 0
+	for _, w := range occ {
+		filled += bits.OnesCount64(w)
+	}
+	if filled == 0 || filled == len(sig) {
+		return
+	}
+	// Visit the empty bins a bitmap word at a time: a per-bin occupancy
+	// branch would mispredict on every other bin.
+	for w := range occ {
+		empty := ^occ[w]
+		if rest := len(sig) - w*64; rest < 64 {
+			empty &= 1<<max(rest, 0) - 1
+		}
+		for ; empty != 0; empty &= empty - 1 {
+			j := w*64 + bits.TrailingZeros64(empty)
+			sig[j] = sig[donorBin(occ, len(sig), j)]
 		}
 	}
-	return sig
+}
+
+// donorBin returns the bin that empty bin j copies: the first occupied
+// bin (per the bitmap occ over k bins) among maxHashedProbes hashed probes
+// seeded by j, four per hash by multiply-shift on each 16-bit quarter,
+// else the next occupied bin after j, found a bitmap word at a time. At
+// least one bin must be occupied.
+func donorBin(occ []uint64, k, j int) int {
+	x := uint64(j) * 0x9e3779b97f4a7c15
+	for range maxHashedProbes / 4 {
+		x = splitmix64(x)
+		// All four probes at once, the first hit picked from a mask:
+		// one branch per hash instead of one per probe.
+		var probe [4]uint64
+		hits := 0
+		for q := range probe {
+			b := (x >> (16 * q) & 0xffff) * uint64(k) >> 16
+			probe[q] = b
+			hits |= int(occ[b>>6]>>(b&63)&1) << q
+		}
+		if hits != 0 {
+			return int(probe[bits.TrailingZeros(uint(hits))])
+		}
+	}
+	for b := j + 1; ; b = (b | 63) + 1 {
+		if b >= k {
+			b = 0
+		}
+		if w := occ[b>>6] >> (b & 63); w != 0 {
+			return b + bits.TrailingZeros64(w)
+		}
+	}
 }
 
 // bandKey folds one band's signature rows into its LSH bucket key. The
@@ -103,7 +178,14 @@ func (d *minhashDedup) Dedup(ds *dataset.Dataset, np int) (*dataset.Dataset, []o
 			featureless[i] = true
 			return nil
 		}
-		sig := d.signature(sh)
+		var sigBuf [maxSignature]uint64
+		var sig []uint64
+		if k := d.signatureSize(); k <= maxSignature {
+			sig = sigBuf[:k]
+		} else {
+			sig = make([]uint64, k)
+		}
+		signature(sh, sig)
 		var buf [maxStackBands]spill.Pair
 		recs := buf[:0]
 		for b := 0; b < d.bands; b++ {

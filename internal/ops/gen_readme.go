@@ -82,7 +82,7 @@ var opParams = map[string]string{
 	"specified_numeric_field_filter": `field="meta.score", min_value=-1e18, max_value=1e18`,
 
 	"document_deduplicator":         "lowercase=true, ignore_non_character=true",
-	"document_minhash_deduplicator": "shingle_size=5, bands=16, rows_per_band=8, jaccard_threshold=0.7",
+	"document_minhash_deduplicator": "shingle_size=5, bands/rows_per_band derived from jaccard_threshold (0.7 → 19×6), jaccard_threshold=0.7",
 	"document_simhash_deduplicator": "ngram=3, max_distance=3",
 	"vector_deduplicator":           "dim=256, cosine_threshold=0.9, planes=16",
 }

@@ -44,10 +44,9 @@ type DiskSet struct {
 	maxDelta int
 	runs     []*setRun
 
-	scratch  []Pair   // sorted flush scratch, reused
-	blockBuf []byte   // probe block read buffer, reused
-	blockKey []uint64 // decoded probe block, reused
-	holder   []int64  // AddBatch's claim scratch, reused
+	scratch  []Pair  // sorted flush scratch, reused
+	blockBuf []byte  // probe block read buffer, reused
+	holder   []int64 // AddBatch's claim scratch, reused
 
 	counters
 }
@@ -155,9 +154,10 @@ func (s *DiskSet) probeRun(r *setRun, sig uint64) (uint64, bool, error) {
 	if _, err := r.f.ReadAt(buf, frameHeaderSize+int64(start)*8); err != nil {
 		return 0, false, fmt.Errorf("spill: probing %s: %w", r.path, err)
 	}
-	s.blockKey = decodeU64s(buf, s.blockKey[:0])
-	j, found := slices.BinarySearch(s.blockKey, sig)
-	if !found {
+	// Binary-search the little-endian keys in place: about log2(n)
+	// decodes instead of n.
+	j := sort.Search(n, func(i int) bool { return binary.LittleEndian.Uint64(buf[i*8:]) >= sig })
+	if j == n || binary.LittleEndian.Uint64(buf[j*8:]) != sig {
 		return 0, false, nil
 	}
 	valOff := frameHeaderSize + int64(r.count)*8
