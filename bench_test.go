@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -295,35 +294,6 @@ func benchContextAblation(b *testing.B, shared bool) {
 
 func BenchmarkAblationContextShared(b *testing.B)   { benchContextAblation(b, true) }
 func BenchmarkAblationContextUnshared(b *testing.B) { benchContextAblation(b, false) }
-
-// --- A2: cache compression ablation ---
-
-func BenchmarkAblationCompression(b *testing.B) {
-	d := corpus.C4(corpus.Options{Docs: 300, Seed: 55})
-	for _, codec := range []string{"none", "gzip", "flate", "lzj"} {
-		b.Run(codec, func(b *testing.B) {
-			dir := b.TempDir()
-			store, err := cache.NewStore(dir, codec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := store.Put("k", d); err != nil {
-					b.Fatal(err)
-				}
-				if _, ok, err := store.Get("k"); err != nil || !ok {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if size, err := store.SizeOnDisk(); err == nil {
-				b.ReportMetric(float64(size), "bytes_on_disk")
-			}
-			os.RemoveAll(dir)
-		})
-	}
-}
 
 // --- A3: typed sample vs generic map rows ---
 

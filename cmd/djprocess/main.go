@@ -83,7 +83,6 @@ func main() {
 		workerAddrs = flag.String("worker-addrs", "", "comma-separated addresses of already-running djworkers to use instead of spawning (implies -stream)")
 		workerBin   = flag.String("worker-bin", "", "djworker binary to spawn (default: djworker next to this binary, then $PATH)")
 		distTimeout = flag.Duration("dist-timeout", 0, "per-stage timeout in distributed mode; a worker exceeding it is treated as failed (default 2m)")
-		distComp    = flag.Bool("dist-compress", false, "compress coordinator<->worker frames on the dispatch wire (recipe key dist_compress; see docs/distributed.md)")
 		listen      = flag.String("listen", "", "serve the live ops endpoint on this address during the run: /metrics, /progress, /debug/pprof/* (see docs/observability.md)")
 		linger      = flag.Bool("listen-linger", false, "keep the -listen endpoint serving after the run completes, until interrupted")
 		noJournal   = flag.Bool("no-journal", false, "disable the structured run journal (<work_dir>/journal/<run_id>.jsonl)")
@@ -145,9 +144,6 @@ func main() {
 	}
 	if *targetMemMB != 0 {
 		recipe.TargetMemMB = *targetMemMB
-	}
-	if *distComp {
-		recipe.DistCompress = true
 	}
 	// -explain plans the recipe exactly as a run would see it, so it
 	// must come after every recipe-overriding flag above.

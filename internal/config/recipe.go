@@ -46,8 +46,6 @@ type Recipe struct {
 	UseCache bool
 	// UseCheckpoint enables crash-recovery checkpoints.
 	UseCheckpoint bool
-	// CacheCompression selects the cache codec: "", "gzip", "flate", "lzj".
-	CacheCompression string
 	// OpFusion enables context-sharing fusion and reordering (Sec. 6).
 	OpFusion bool
 	// UseProfiles lets the planner read and persist the per-recipe
@@ -71,11 +69,6 @@ type Recipe struct {
 	// dedup op a slice of this target and the op's index structures
 	// spill to disk when they outgrow it.
 	TargetMemMB int
-	// DistCompress enables lzj compression of the frames exchanged with
-	// djworker fleets over the dispatch wire (djprocess -dist-compress,
-	// recipe key dist_compress). Off by default: loopback fleets are
-	// rarely bandwidth-bound.
-	DistCompress bool
 	// EnableTrace records per-OP lineage for the tracer.
 	EnableTrace bool
 	// Listen, when non-empty, serves the live ops endpoint on this
@@ -129,16 +122,12 @@ func FromMap(m map[string]any) (*Recipe, error) {
 			r.UseCache, err = asBool(key, v)
 		case "use_checkpoint":
 			r.UseCheckpoint, err = asBool(key, v)
-		case "cache_compression":
-			r.CacheCompression = asString(v)
 		case "op_fusion":
 			r.OpFusion, err = asBool(key, v)
 		case "use_profiles":
 			r.UseProfiles, err = asBool(key, v)
 		case "target_mem_mb":
 			r.TargetMemMB, err = asInt(key, v)
-		case "dist_compress":
-			r.DistCompress, err = asBool(key, v)
 		case "trace":
 			r.EnableTrace, err = asBool(key, v)
 		case "listen":
@@ -166,9 +155,8 @@ func FromMap(m map[string]any) (*Recipe, error) {
 // test) and FromMap must accept each (enforced by TestKnownRecipeKeys).
 var recipeKeys = []string{
 	"project_name", "dataset_path", "sources", "export_path", "np",
-	"text_key", "use_cache", "use_checkpoint", "cache_compression",
+	"text_key", "use_cache", "use_checkpoint",
 	"op_fusion", "use_profiles", "target_mem_mb",
-	"dist_compress",
 	"trace", "listen", "journal", "work_dir", "process",
 }
 
@@ -336,7 +324,6 @@ func (r *Recipe) ApplyEnv(getenv func(string) string) error {
 		{"DJ_USE_CHECKPOINT", &r.UseCheckpoint},
 		{"DJ_OP_FUSION", &r.OpFusion},
 		{"DJ_USE_PROFILES", &r.UseProfiles},
-		{"DJ_DIST_COMPRESS", &r.DistCompress},
 		{"DJ_JOURNAL", &r.Journal},
 	} {
 		switch v := getenv(b.name); v {
@@ -371,7 +358,6 @@ func (r *Recipe) ApplyEnv(getenv func(string) string) error {
 		{"DJ_EXPORT_PATH", &r.ExportPath},
 		{"DJ_LISTEN", &r.Listen},
 		{"DJ_WORK_DIR", &r.WorkDir},
-		{"DJ_CACHE_COMPRESSION", &r.CacheCompression},
 	} {
 		if v := getenv(str.name); v != "" {
 			*str.dst = v

@@ -93,14 +93,14 @@ func NewExecutor(r *config.Recipe) (*Executor, error) {
 		runner: NewOpRunner(p.Built(), r.Process, tracer),
 	}
 	if r.UseCache {
-		store, err := cache.NewStore(filepath.Join(r.WorkDir, "cache"), r.CacheCompression)
+		store, err := cache.NewStore(filepath.Join(r.WorkDir, "cache"), "")
 		if err != nil {
 			return nil, err
 		}
 		e.store = store
 	}
 	if r.UseCheckpoint {
-		ckpt, err := cache.NewCheckpointManager(filepath.Join(r.WorkDir, "checkpoint"), r.CacheCompression)
+		ckpt, err := cache.NewCheckpointManager(filepath.Join(r.WorkDir, "checkpoint"))
 		if err != nil {
 			return nil, err
 		}

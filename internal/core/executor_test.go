@@ -206,7 +206,6 @@ func TestExecutorTracerLineage(t *testing.T) {
 func TestExecutorCacheReuse(t *testing.T) {
 	r := testRecipe(t, basicYAML)
 	r.UseCache = true
-	r.CacheCompression = "lzj"
 
 	e1, err := NewExecutor(r)
 	if err != nil {

@@ -20,11 +20,10 @@ func FuzzFrame2Decode(f *testing.F) {
 	}
 	seed(append([]byte(nil), buf.Bytes()...))
 
-	buf.Reset()
-	if _, _, err := WriteFrame2(&buf, RunHeader{RunID: "f"}, richDataset(), true); err != nil {
-		f.Fatal(err)
-	}
-	seed(append([]byte(nil), buf.Bytes()...))
+	// A plain frame with flag bit 0 (the retired compressed-body flag) set.
+	flagged := append([]byte(nil), buf.Bytes()...)
+	flagged[bytes.IndexByte(flagged, '\n')+1+5] |= 1
+	seed(flagged)
 
 	in := make([]*sample.Sample, 12)
 	for i := range in {
@@ -33,7 +32,7 @@ func FuzzFrame2Decode(f *testing.F) {
 	}
 	mask, _ := BuildKeepMask(in, in[:7])
 	buf.Reset()
-	if _, _, err := WriteDeltaFrame2(&buf, ResultHeader{Delta: true, Samples: 7}, mask, len(in), in[:7], true); err != nil {
+	if _, err := WriteDeltaFrame2(&buf, ResultHeader{Delta: true, Samples: 7}, mask, len(in), in[:7]); err != nil {
 		f.Fatal(err)
 	}
 	seed(append([]byte(nil), buf.Bytes()...))
@@ -61,8 +60,8 @@ func FuzzFrame2Decode(f *testing.F) {
 				t.Fatalf("delta keeps %d of %d inputs", frame.Data.Len(), frame.InCount)
 			}
 		}
-		if frame.Wire <= 0 || frame.Raw <= 0 {
-			t.Fatalf("nonpositive accounting: wire=%d raw=%d", frame.Wire, frame.Raw)
+		if frame.Wire <= 0 {
+			t.Fatalf("nonpositive accounting: wire=%d", frame.Wire)
 		}
 	})
 }

@@ -37,47 +37,49 @@ func jsonl(t *testing.T, d *dataset.Dataset) []byte {
 }
 
 func TestFrame2RoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		name := "plain"
-		if compress {
-			name = "compressed"
-		}
-		t.Run(name, func(t *testing.T) {
-			d := richDataset()
-			h := RunHeader{RunID: "r2", Shard: 7, FromOp: 0, ToOp: 2, Samples: d.Len(), Compress: compress}
-			var buf bytes.Buffer
-			wire, raw, err := WriteFrame2(&buf, h, d, compress)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wire != int64(buf.Len()) {
-				t.Errorf("wire count %d, buffer holds %d", wire, buf.Len())
-			}
-			if raw <= 0 {
-				t.Errorf("raw count %d, want positive", raw)
-			}
-			fr := NewFrame2Reader(&buf)
-			var got RunHeader
-			if err := fr.Header(&got); err != nil {
-				t.Fatal(err)
-			}
-			if got != h {
-				t.Errorf("header round trip: got %+v want %+v", got, h)
-			}
-			f, err := fr.Body()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.Delta {
-				t.Error("full frame decoded as delta")
-			}
-			if f.Wire != wire || f.Raw != raw {
-				t.Errorf("reader accounting wire=%d raw=%d, writer said %d/%d", f.Wire, f.Raw, wire, raw)
-			}
-			if !bytes.Equal(jsonl(t, f.Data), jsonl(t, d)) {
-				t.Error("payload not byte-identical after round trip")
-			}
-		})
+	d := richDataset()
+	h := RunHeader{RunID: "r2", Shard: 7, FromOp: 0, ToOp: 2, Samples: d.Len()}
+	var buf bytes.Buffer
+	wire, raw, err := WriteFrame2(&buf, h, d, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire != int64(buf.Len()) || raw != wire {
+		t.Errorf("wire %d raw %d, buffer holds %d", wire, raw, buf.Len())
+	}
+	fr := NewFrame2Reader(&buf)
+	var got RunHeader
+	if err := fr.Header(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got != h {
+		t.Errorf("header round trip: got %+v want %+v", got, h)
+	}
+	f, err := fr.Body()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Delta {
+		t.Error("full frame decoded as delta")
+	}
+	if f.Wire != wire {
+		t.Errorf("reader accounting wire=%d, writer said %d", f.Wire, wire)
+	}
+	if !bytes.Equal(jsonl(t, f.Data), jsonl(t, d)) {
+		t.Error("payload not byte-identical after round trip")
+	}
+}
+
+// TestWriteFrame2RejectsCompress: the compress argument survives only for
+// signature compatibility; asking for compression must fail, not write a
+// plain frame the caller believes is compressed.
+func TestWriteFrame2RejectsCompress(t *testing.T) {
+	var buf bytes.Buffer
+	if _, _, err := WriteFrame2(&buf, RunHeader{}, richDataset(), true); err == nil {
+		t.Fatal("WriteFrame2 accepted compress=true")
+	}
+	if buf.Len() != 0 {
+		t.Errorf("rejected write still put %d bytes on the wire", buf.Len())
 	}
 }
 
@@ -109,7 +111,7 @@ func TestFrame2ManyBatches(t *testing.T) {
 	}
 	d := dataset.New(samples)
 	var buf bytes.Buffer
-	if _, _, err := WriteFrame2(&buf, RunHeader{}, d, true); err != nil {
+	if _, _, err := WriteFrame2(&buf, RunHeader{}, d, false); err != nil {
 		t.Fatal(err)
 	}
 	fr := NewFrame2Reader(&buf)
@@ -127,59 +129,55 @@ func TestFrame2ManyBatches(t *testing.T) {
 }
 
 func TestFrame2DeltaRoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		name := "plain"
-		if compress {
-			name = "compressed"
+	in := make([]*sample.Sample, 21)
+	for i := range in {
+		in[i] = sample.New(strings.Repeat("s", i+1))
+	}
+	var kept []*sample.Sample
+	for i, s := range in {
+		if i%3 != 0 { // drop every third sample
+			s.SetStat("keep_score", float64(i))
+			kept = append(kept, s)
 		}
-		t.Run(name, func(t *testing.T) {
-			in := make([]*sample.Sample, 21)
-			for i := range in {
-				in[i] = sample.New(strings.Repeat("s", i+1))
-			}
-			var kept []*sample.Sample
-			for i, s := range in {
-				if i%3 != 0 { // drop every third sample
-					s.SetStat("keep_score", float64(i))
-					kept = append(kept, s)
-				}
-			}
-			mask, ok := BuildKeepMask(in, kept)
-			if !ok {
-				t.Fatal("BuildKeepMask rejected an ordered subset")
-			}
-			var buf bytes.Buffer
-			rh := ResultHeader{Shard: 5, Samples: len(kept), Delta: true}
-			if _, _, err := WriteDeltaFrame2(&buf, rh, mask, len(in), kept, compress); err != nil {
-				t.Fatal(err)
-			}
-			fr := NewFrame2Reader(&buf)
-			var got ResultHeader
-			if err := fr.Header(&got); err != nil {
-				t.Fatal(err)
-			}
-			f, err := fr.Body()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !f.Delta || f.InCount != len(in) || f.Data.Len() != len(kept) {
-				t.Fatalf("delta frame decoded wrong: delta=%v in=%d kept=%d", f.Delta, f.InCount, f.Data.Len())
-			}
-			applied := ApplyKeepMask(in, f.Mask)
-			if len(applied) != len(kept) {
-				t.Fatalf("mask selects %d samples, want %d", len(applied), len(kept))
-			}
-			for i, s := range applied {
-				if s != kept[i] {
-					t.Fatalf("mask selected wrong sample at %d", i)
-				}
-				want, _ := kept[i].Stat("keep_score")
-				got, ok := f.Data.Samples[i].Stat("keep_score")
-				if !ok || got != want {
-					t.Errorf("stats column entry %d: got %v (%v), want %v", i, got, ok, want)
-				}
-			}
-		})
+	}
+	mask, ok := BuildKeepMask(in, kept)
+	if !ok {
+		t.Fatal("BuildKeepMask rejected an ordered subset")
+	}
+	var buf bytes.Buffer
+	rh := ResultHeader{Shard: 5, Samples: len(kept), Delta: true}
+	wire, err := WriteDeltaFrame2(&buf, rh, mask, len(in), kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrame2Reader(&buf)
+	var got ResultHeader
+	if err := fr.Header(&got); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fr.Body()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Delta || f.InCount != len(in) || f.Data.Len() != len(kept) {
+		t.Fatalf("delta frame decoded wrong: delta=%v in=%d kept=%d", f.Delta, f.InCount, f.Data.Len())
+	}
+	if f.Wire != wire {
+		t.Errorf("reader accounting wire=%d, writer said %d", f.Wire, wire)
+	}
+	applied := ApplyKeepMask(in, f.Mask)
+	if len(applied) != len(kept) {
+		t.Fatalf("mask selects %d samples, want %d", len(applied), len(kept))
+	}
+	for i, s := range applied {
+		if s != kept[i] {
+			t.Fatalf("mask selected wrong sample at %d", i)
+		}
+		want, _ := kept[i].Stat("keep_score")
+		got, ok := f.Data.Samples[i].Stat("keep_score")
+		if !ok || got != want {
+			t.Errorf("stats column entry %d: got %v (%v), want %v", i, got, ok, want)
+		}
 	}
 }
 
@@ -194,30 +192,6 @@ func TestBuildKeepMaskRejectsNonSubset(t *testing.T) {
 	mask, ok := BuildKeepMask(in, nil)
 	if !ok || len(ApplyKeepMask(in, mask)) != 0 {
 		t.Error("empty keep set should produce an all-zero mask")
-	}
-}
-
-// TestFrame2Compression checks compression actually shrinks a
-// repetitive payload and the raw accounting reports the savings.
-func TestFrame2Compression(t *testing.T) {
-	samples := make([]*sample.Sample, 64)
-	for i := range samples {
-		samples[i] = sample.New(strings.Repeat("the same compressible sentence. ", 40))
-	}
-	d := dataset.New(samples)
-	var plain, comp bytes.Buffer
-	if _, _, err := WriteFrame2(&plain, RunHeader{}, d, false); err != nil {
-		t.Fatal(err)
-	}
-	wire, raw, err := WriteFrame2(&comp, RunHeader{}, d, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.Len() >= plain.Len()/2 {
-		t.Errorf("compressed frame %d bytes, plain %d: expected >2x shrink", comp.Len(), plain.Len())
-	}
-	if wire >= raw {
-		t.Errorf("accounting says wire %d >= raw %d for compressible data", wire, raw)
 	}
 }
 
@@ -254,6 +228,7 @@ func TestFrame2RejectsCorruption(t *testing.T) {
 		"bad magic":        corruptAt(t, 0, 0xff),
 		"bad version":      corruptAt(t, 4, 0x01),
 		"unknown flags":    corruptAt(t, 5, 0x80),
+		"compress flag":    corruptAt(t, 5, 0x01), // bit 0: the retired compressed body
 		"reserved nonzero": corruptAt(t, 6, 0x01),
 		"huge count":       corruptAt(t, 11, 0xff), // top byte of sample count
 		"bad batch count":  corruptAt(t, 16, 0x40),
@@ -281,27 +256,6 @@ func TestFrame2RejectsTruncation(t *testing.T) {
 	}
 }
 
-func TestFrame2RejectsCorruptBlock(t *testing.T) {
-	var buf bytes.Buffer
-	if _, _, err := WriteFrame2(&buf, RunHeader{}, richDataset(), true); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	nl := bytes.IndexByte(raw, '\n')
-	// Inflate the first block's claimed encoded length.
-	bad := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(bad[nl+1+frame2HeaderSize:], uint32(frame2MaxBlockEnc+1))
-	if err := decodeFrame2(bad); err == nil {
-		t.Error("decode accepted an implausible block length")
-	}
-	// Flip a byte inside the lzj payload.
-	bad = append([]byte(nil), raw...)
-	bad[nl+1+frame2HeaderSize+12] ^= 0xff
-	if err := decodeFrame2(bad); err == nil {
-		t.Error("decode accepted a corrupt compressed block")
-	}
-}
-
 func TestFrame2RejectsBadDelta(t *testing.T) {
 	in := make([]*sample.Sample, 10)
 	for i := range in {
@@ -314,7 +268,7 @@ func TestFrame2RejectsBadDelta(t *testing.T) {
 	}
 	encode := func(mask []byte, inCount int, kept []*sample.Sample) []byte {
 		var buf bytes.Buffer
-		if _, _, err := WriteDeltaFrame2(&buf, ResultHeader{Delta: true}, mask, inCount, kept, false); err != nil {
+		if _, err := WriteDeltaFrame2(&buf, ResultHeader{Delta: true}, mask, inCount, kept); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -353,7 +307,7 @@ func TestFrame2RejectsBadDelta(t *testing.T) {
 		t.Error("decode accepted a full frame with a delta input count")
 	}
 	// Mask length validation on the writer side.
-	if _, _, err := WriteDeltaFrame2(&buf, ResultHeader{}, mask[:1], len(in), kept, false); err == nil {
+	if _, err := WriteDeltaFrame2(&buf, ResultHeader{}, mask[:1], len(in), kept); err == nil {
 		t.Error("writer accepted a short mask")
 	}
 }

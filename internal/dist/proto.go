@@ -26,12 +26,11 @@ import (
 //	                    end-of-run fused-member statistics
 //
 // Stage frames are the streaming binary columnar DJF2 frames of
-// frame2.go (optionally lzj-compressed, optionally answering a
-// filter-only stage with a keep-mask delta instead of the shard); error
-// responses are a header line alone. Responses are validated
-// structurally — sample count and per-op flow indexes must match the
-// header — and any mismatch is treated as a corrupt response, which the
-// scheduler retries elsewhere.
+// frame2.go (optionally answering a filter-only stage with a keep-mask
+// delta instead of the shard); error responses are a header line alone.
+// Responses are validated structurally — sample count and per-op flow
+// indexes must match the header — and any mismatch is treated as a
+// corrupt response, which the scheduler retries elsewhere.
 
 // ProtoVersion guards the coordinator/worker wire format. The
 // coordinator sends it in ConfigureRequest and workers reject any other
@@ -64,16 +63,14 @@ type ConfigureResponse struct {
 // [FromOp, ToOp) to the attached shard. Delta asks for a keep-mask
 // response when the range is filter-only (the worker re-derives
 // eligibility from its own plan and falls back to a full frame if it
-// disagrees), Compress asks for lzj block compression on the response
-// body.
+// disagrees).
 type RunHeader struct {
-	RunID    string `json:"run_id"`
-	Shard    int    `json:"shard"`
-	FromOp   int    `json:"from_op"`
-	ToOp     int    `json:"to_op"`
-	Samples  int    `json:"samples"`
-	Delta    bool   `json:"delta,omitempty"`
-	Compress bool   `json:"compress,omitempty"`
+	RunID   string `json:"run_id"`
+	Shard   int    `json:"shard"`
+	FromOp  int    `json:"from_op"`
+	ToOp    int    `json:"to_op"`
+	Samples int    `json:"samples"`
+	Delta   bool   `json:"delta,omitempty"`
 }
 
 // OpFlow is one op's measured flow through one shard on a worker. The
@@ -256,19 +253,19 @@ func (c *WorkerClient) postJSON(path string, in, out any) error {
 func (c *WorkerClient) RunStage(h RunHeader, d *dataset.Dataset) (*dataset.Dataset, ResultHeader, WireStat, error) {
 	h.Samples = d.Len()
 	pr, pw := io.Pipe()
-	var sentWire, sentRaw int64
+	var sent int64
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		wire, raw, err := WriteFrame2(pw, h, d, h.Compress)
-		sentWire, sentRaw = wire, raw
+		var err error
+		sent, _, err = WriteFrame2(pw, h, d, false)
 		pw.CloseWithError(err)
 	}()
 	resp, err := c.http.Post(c.url("/v2/run"), "application/x-dj-frame2", pr)
 	// The transport finished with the body either way (success drains
 	// it, failure closes it), so the encoder goroutine has exited.
 	<-done
-	ws := WireStat{Sent: sentWire, RawSent: sentRaw}
+	ws := WireStat{Sent: sent}
 	if err != nil {
 		return nil, ResultHeader{}, ws, err
 	}
@@ -290,7 +287,7 @@ func (c *WorkerClient) RunStage(h RunHeader, d *dataset.Dataset) (*dataset.Datas
 	if err != nil {
 		return nil, rh, ws, fmt.Errorf("dist: worker %d shard %d: %w", c.ID, h.Shard, err)
 	}
-	ws.Recv, ws.RawRecv = f.Wire, f.Raw
+	ws.Recv = f.Wire
 	ws.Delta = f.Delta
 	if rh.Delta != f.Delta {
 		return nil, rh, ws, fmt.Errorf("dist: worker %d shard %d: header delta=%v, frame delta=%v",

@@ -338,12 +338,25 @@ func shinglesOf(words []string, n int) []uint64 {
 	for i := 1; i < n; i++ {
 		bPow *= shingleB
 	}
+	// ring holds the window's token hashes, so each word is hashed once:
+	// the hash leaving the window is read back, not recomputed.
+	var stack [16]uint64
+	ring := stack[:]
+	if n > len(stack) {
+		ring = make([]uint64, n)
+	}
 	var h uint64
+	pos := 0
 	for i, w := range words {
-		h = h*shingleB + splitmix64(text.HashString(w))
+		t := splitmix64(text.HashString(w))
+		h = h*shingleB + t
+		ring[pos] = t
+		if pos++; pos == n {
+			pos = 0
+		}
 		if i >= n-1 {
 			out = append(out, splitmix64(h))
-			h -= splitmix64(text.HashString(words[i-n+1])) * bPow
+			h -= ring[pos] * bPow // pos now holds words[i-n+1]
 		}
 	}
 	return out

@@ -61,11 +61,9 @@ type Pool struct {
 	runID   string
 	tele    *telemetry.Run
 
-	// Stage routing hints derived at configure time: per plan node,
-	// whether it is a pure filter (keep-mask delta eligible), and
-	// whether frames should be lzj-compressed.
+	// Stage routing hint derived at configure time: per plan node,
+	// whether it is a pure filter (keep-mask delta eligible).
 	filterOnly []bool
-	compress   bool
 
 	// Wire accounting, accumulated per completed stage exchange.
 	wmu         sync.Mutex
@@ -78,8 +76,6 @@ type wireAgg struct {
 	deltaStages int
 	sent        int64
 	recv        int64
-	rawSent     int64
-	rawRecv     int64
 }
 
 // NewPool spawns (or dials) the fleet and waits for every worker to
@@ -233,7 +229,6 @@ func waitHealthy(ctx context.Context, c *dist.WorkerClient) error {
 // its load; only a fully unreachable fleet fails.
 func (p *Pool) Configure(r *config.Recipe, pl *plan.Plan, runID string, tele *telemetry.Run) error {
 	p.runID, p.tele = runID, tele
-	p.compress = r.DistCompress
 	p.filterOnly = filterOnly(pl)
 	rawRecipe, err := json.Marshal(r)
 	if err != nil {
@@ -287,7 +282,7 @@ func (p *Pool) Configure(r *config.Recipe, pl *plan.Plan, runID string, tele *te
 func (p *Pool) RunStage(shard, fromOp, toOp int, d *dataset.Dataset) (*dataset.Dataset, []dist.OpFlow, int, error) {
 	h := dist.RunHeader{
 		RunID: p.runID, Shard: shard, FromOp: fromOp, ToOp: toOp,
-		Delta: deltaEligible(p.filterOnly, fromOp, toOp), Compress: p.compress,
+		Delta: deltaEligible(p.filterOnly, fromOp, toOp),
 	}
 	for {
 		route := p.sched.Pick(shard)
@@ -352,14 +347,12 @@ func (p *Pool) observeWire(worker int, ws dist.WireStat) {
 	}
 	agg.sent += ws.Sent
 	agg.recv += ws.Recv
-	agg.rawSent += ws.RawSent
-	agg.rawRecv += ws.RawRecv
 	if ws.Delta {
 		agg.deltaStages++
 	}
 	p.wmu.Unlock()
 	if p.tele != nil {
-		p.tele.ObserveWire(worker, ws.Sent, ws.Recv, ws.RawSent, ws.RawRecv)
+		p.tele.ObserveWire(worker, ws.Sent, ws.Recv)
 	}
 }
 
@@ -380,23 +373,19 @@ func (p *Pool) DistStats() *dist.RunStats {
 		st.Workers[i].DeltaStages = agg.deltaStages
 		st.Workers[i].BytesSent = agg.sent
 		st.Workers[i].BytesRecv = agg.recv
-		st.Workers[i].RawBytesSent = agg.rawSent
-		st.Workers[i].RawBytesRecv = agg.rawRecv
 		st.DeltaStages += agg.deltaStages
 		st.BytesSent += agg.sent
 		st.BytesRecv += agg.recv
-		st.RawBytesSent += agg.rawSent
-		st.RawBytesRecv += agg.rawRecv
 		if p.tele != nil && !p.wireFlushed {
 			p.tele.Emit(telemetry.Event{
 				Type: telemetry.EvWorkerWire, Worker: st.Workers[i].Worker,
 				Proto: dist.ProtoVersion, DeltaStages: agg.deltaStages,
 				BytesSent: agg.sent, BytesRecv: agg.recv,
-				RawBytesSent: agg.rawSent, RawBytesRecv: agg.rawRecv,
 			})
 		}
 	}
 	p.wireFlushed = true
+	st.RawBytesSent, st.RawBytesRecv = st.BytesSent, st.BytesRecv
 	return &st
 }
 

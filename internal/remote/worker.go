@@ -255,13 +255,13 @@ func (w *WorkerServer) handleStage(rw http.ResponseWriter, req *http.Request) {
 	if h.Delta && deltaEligible(sess.filterOnly, h.FromOp, h.ToOp) {
 		if mask, ok := dist.BuildKeepMask(in, out.Samples); ok {
 			rh.Delta = true
-			dist.WriteDeltaFrame2(rw, rh, mask, len(in), out.Samples, h.Compress)
+			dist.WriteDeltaFrame2(rw, rh, mask, len(in), out.Samples)
 			return
 		}
 		// The surviving samples are not an ordered subset of the input
 		// (an op rewrote them); ship the full shard instead.
 	}
-	dist.WriteFrame2(rw, rh, out, h.Compress)
+	dist.WriteFrame2(rw, rh, out, false)
 }
 
 // handleFlush reports the worker's quiesced fused-member attribution.

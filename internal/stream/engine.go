@@ -216,7 +216,7 @@ func New(r *config.Recipe, opts Options) (*Engine, error) {
 		}
 	}
 	if r.UseCache {
-		store, err := cache.NewStore(filepath.Join(r.WorkDir, "stream-cache"), r.CacheCompression)
+		store, err := cache.NewStore(filepath.Join(r.WorkDir, "stream-cache"), "")
 		if err != nil {
 			return nil, err
 		}

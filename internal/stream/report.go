@@ -162,12 +162,8 @@ func (r *Report) DistSummary() string {
 			w.Worker, w.Addr, w.Stages, w.Steals, w.Retries, flag)
 	}
 	if d.BytesSent > 0 || d.BytesRecv > 0 {
-		ratio := 1.0
-		if d.BytesSent+d.BytesRecv > 0 {
-			ratio = float64(d.RawBytesSent+d.RawBytesRecv) / float64(d.BytesSent+d.BytesRecv)
-		}
-		fmt.Fprintf(&b, "  wire: %.1f MiB sent, %.1f MiB recv (%.2fx vs raw)",
-			float64(d.BytesSent)/(1<<20), float64(d.BytesRecv)/(1<<20), ratio)
+		fmt.Fprintf(&b, "  wire: %.1f MiB sent, %.1f MiB recv",
+			float64(d.BytesSent)/(1<<20), float64(d.BytesRecv)/(1<<20))
 		if d.DeltaStages > 0 {
 			fmt.Fprintf(&b, ", %d delta stages", d.DeltaStages)
 		}

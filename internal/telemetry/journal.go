@@ -54,9 +54,8 @@ const (
 	EvShardSteal  = "shard_steal"
 
 	// worker_wire (schema v3) is one worker's end-of-run transport
-	// tally: protocol version, bytes on the wire in each direction,
-	// their uncompressed equivalents, and how many stages were answered
-	// with a keep-mask delta.
+	// tally: protocol version, bytes on the wire in each direction, and
+	// how many stages were answered with a keep-mask delta.
 	EvWorkerWire = "worker_wire"
 
 	// index (schema v4) is one shared-index stage's end-of-phase
@@ -121,13 +120,17 @@ type Event struct {
 	Proto int `json:"proto,omitempty"`
 
 	// Wire-transport accounting (worker_wire, schema v3): bytes put on
-	// the wire to/from the worker, their uncompressed equivalents, and
-	// the stages answered with a keep-mask delta.
-	BytesSent    int64 `json:"bytes_sent,omitempty"`
-	BytesRecv    int64 `json:"bytes_recv,omitempty"`
+	// the wire to/from the worker, and the stages answered with a
+	// keep-mask delta.
+	BytesSent   int64 `json:"bytes_sent,omitempty"`
+	BytesRecv   int64 `json:"bytes_recv,omitempty"`
+	DeltaStages int   `json:"delta_stages,omitempty"`
+	// RawBytesSent / RawBytesRecv carried the uncompressed equivalents
+	// of the two byte counts while the wire could compress frames.
+	// Nothing writes them any more; they stay so v3/v4 journals that
+	// carry them still decode (the schema is append-only).
 	RawBytesSent int64 `json:"raw_bytes_sent,omitempty"`
 	RawBytesRecv int64 `json:"raw_bytes_recv,omitempty"`
-	DeltaStages  int   `json:"delta_stages,omitempty"`
 
 	// SpillRuns counts the spill files (index runs / LSH partitions) a
 	// dedup index wrote; Bytes carries the spilled bytes (spill events).

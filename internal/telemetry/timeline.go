@@ -53,12 +53,10 @@ type WorkerTimeline struct {
 	Disconnected bool // at least one retry marked it suspect
 
 	// Wire-transport accounting (worker_wire events, schema v3).
-	Proto        int   // wire protocol version (0 = unrecorded)
-	DeltaStages  int   // stages answered with a keep-mask delta
-	BytesSent    int64 // on-wire bytes coordinator -> worker
-	BytesRecv    int64 // on-wire bytes worker -> coordinator
-	RawBytesSent int64 // uncompressed equivalent of BytesSent
-	RawBytesRecv int64 // uncompressed equivalent of BytesRecv
+	Proto       int   // wire protocol version (0 = unrecorded)
+	DeltaStages int   // stages answered with a keep-mask delta
+	BytesSent   int64 // on-wire bytes coordinator -> worker
+	BytesRecv   int64 // on-wire bytes worker -> coordinator
 }
 
 // Timeline is the reconstruction of one run from its journal.
@@ -212,8 +210,6 @@ func BuildTimeline(events []Event) (*Timeline, error) {
 			w.DeltaStages += e.DeltaStages
 			w.BytesSent += e.BytesSent
 			w.BytesRecv += e.BytesRecv
-			w.RawBytesSent += e.RawBytesSent
-			w.RawBytesRecv += e.RawBytesRecv
 			touch(w, e.TS)
 		case EvWorkerRetry:
 			w := laneOf(e.Worker)
@@ -380,17 +376,13 @@ func (tl *Timeline) Render() string {
 			if w.BytesSent == 0 && w.BytesRecv == 0 {
 				continue
 			}
-			ratio := 1.0
-			if w.BytesSent+w.BytesRecv > 0 {
-				ratio = float64(w.RawBytesSent+w.RawBytesRecv) / float64(w.BytesSent+w.BytesRecv)
-			}
 			delta := ""
 			if w.DeltaStages > 0 {
 				delta = fmt.Sprintf(", %d delta stages", w.DeltaStages)
 			}
-			fmt.Fprintf(&b, "  w%-2d proto=%d sent %.1f MiB recv %.1f MiB (%.2fx vs raw)%s\n",
+			fmt.Fprintf(&b, "  w%-2d proto=%d sent %.1f MiB recv %.1f MiB%s\n",
 				w.Worker, w.Proto,
-				float64(w.BytesSent)/(1<<20), float64(w.BytesRecv)/(1<<20), ratio, delta)
+				float64(w.BytesSent)/(1<<20), float64(w.BytesRecv)/(1<<20), delta)
 		}
 	}
 

@@ -12,35 +12,44 @@ import "sync"
 // A Segmenter is not safe for concurrent use; get one per goroutine from
 // the pool (GetSegmenter / PutSegmenter).
 type Segmenter struct {
-	words     []string
-	wordsLow  []string
-	lines     []string
-	sentences []string
+	words     tokenBuf
+	wordsLow  tokenBuf
+	lines     tokenBuf
+	sentences tokenBuf
+}
+
+// tokenBuf is one reusable token slice plus the longest length it has
+// held since the last PutSegmenter: only that prefix can hold substrings,
+// so only that prefix needs clearing.
+type tokenBuf struct {
+	s  []string
+	hw int
+}
+
+func (b *tokenBuf) set(s []string) []string {
+	b.s, b.hw = s, max(b.hw, len(s))
+	return s
 }
 
 // Words segments s into word tokens, reusing the segmenter's buffer.
 func (g *Segmenter) Words(s string) []string {
-	g.words = WordsInto(s, g.words[:0])
-	return g.words
+	return g.words.set(WordsInto(s, g.words.s[:0]))
 }
 
 // WordsLower segments s into lower-cased word tokens, reusing the
 // segmenter's buffer.
 func (g *Segmenter) WordsLower(s string) []string {
-	g.wordsLow = WordsLowerInto(s, g.wordsLow[:0])
-	return g.wordsLow
+	return g.wordsLow.set(WordsLowerInto(s, g.wordsLow.s[:0]))
 }
 
 // Lines splits s into lines, reusing the segmenter's buffer.
 func (g *Segmenter) Lines(s string) []string {
-	g.lines = LinesInto(s, g.lines[:0])
-	return g.lines
+	return g.lines.set(LinesInto(s, g.lines.s[:0]))
 }
 
 // Sentences splits s into sentences, reusing the segmenter's buffer.
 func (g *Segmenter) Sentences(s string) []string {
-	g.sentences = SentencesInto(s, g.sentences[:0])
-	return g.sentences
+	return g.sentences.set(SentencesInto(s, g.sentences.s[:0]))
 }
 
 var segmenterPool = sync.Pool{New: func() any { return &Segmenter{} }}
@@ -52,12 +61,9 @@ func GetSegmenter() *Segmenter { return segmenterPool.Get().(*Segmenter) }
 // so they don't pin their source texts alive. The slices it handed out
 // must no longer be referenced.
 func PutSegmenter(g *Segmenter) {
-	for _, buf := range []*[]string{&g.words, &g.wordsLow, &g.lines, &g.sentences} {
-		b := (*buf)[:cap(*buf)]
-		for i := range b {
-			b[i] = ""
-		}
-		*buf = b[:0]
+	for _, b := range []*tokenBuf{&g.words, &g.wordsLow, &g.lines, &g.sentences} {
+		clear(b.s[:b.hw])
+		b.s, b.hw = b.s[:0], 0
 	}
 	segmenterPool.Put(g)
 }

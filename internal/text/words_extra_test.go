@@ -263,3 +263,38 @@ func TestSegmenterReusesBuffers(t *testing.T) {
 		t.Fatalf("w2 = %v", w2)
 	}
 }
+
+// TestPutSegmenterClearsEveryToken: PutSegmenter clears only the prefix
+// its buffers have used since the last put, and that must still cover
+// every parked substring — after a long call followed by a short one, no
+// slot anywhere in a buffer's capacity may still pin a source text.
+func TestPutSegmenterClearsEveryToken(t *testing.T) {
+	g := &Segmenter{}
+	long := strings.Repeat("Alpha beta gamma. Delta epsilon!\n", 40)
+	g.Words(long)
+	g.WordsLower(long)
+	g.Lines(long)
+	g.Sentences(long)
+	g.Words("short one")
+	g.WordsLower("short one")
+	g.Lines("short")
+	g.Sentences("Short.")
+	bufs := map[string]*tokenBuf{"words": &g.words, "wordsLow": &g.wordsLow, "lines": &g.lines, "sentences": &g.sentences}
+	for name, b := range bufs {
+		if cap(b.s) < 40 {
+			t.Fatalf("%s: cap %d, the long call should have grown it", name, cap(b.s))
+		}
+	}
+	PutSegmenter(g)
+	for name, b := range bufs {
+		if len(b.s) != 0 || b.hw != 0 {
+			t.Errorf("%s: len %d, high water %d after put", name, len(b.s), b.hw)
+		}
+		for i, tok := range b.s[:cap(b.s)] {
+			if tok != "" {
+				t.Errorf("%s[%d] = %q survives PutSegmenter", name, i, tok)
+				break
+			}
+		}
+	}
+}
