@@ -23,7 +23,11 @@ func sampleDataset(n int) *dataset.Dataset {
 	return dataset.FromTexts(texts)
 }
 
-func TestStorePutGet(t *testing.T) {
+// TestStorePutGet runs under the case name "none": entries are stored
+// uncompressed, the one format the cache writes.
+func TestStorePutGet(t *testing.T) { t.Run("none", storePutGetPlain) }
+
+func storePutGetPlain(t *testing.T) {
 	dir := t.TempDir()
 	store, err := NewStore(dir, "")
 	if err != nil {

@@ -36,7 +36,11 @@ func jsonl(t *testing.T, d *dataset.Dataset) []byte {
 	return buf.Bytes()
 }
 
-func TestFrame2RoundTrip(t *testing.T) {
+// TestFrame2RoundTrip and TestFrame2DeltaRoundTrip run under the case
+// name "plain": frames are never compressed.
+func TestFrame2RoundTrip(t *testing.T) { t.Run("plain", frame2RoundTripPlain) }
+
+func frame2RoundTripPlain(t *testing.T) {
 	d := richDataset()
 	h := RunHeader{RunID: "r2", Shard: 7, FromOp: 0, ToOp: 2, Samples: d.Len()}
 	var buf bytes.Buffer
@@ -128,7 +132,9 @@ func TestFrame2ManyBatches(t *testing.T) {
 	}
 }
 
-func TestFrame2DeltaRoundTrip(t *testing.T) {
+func TestFrame2DeltaRoundTrip(t *testing.T) { t.Run("plain", frame2DeltaRoundTripPlain) }
+
+func frame2DeltaRoundTripPlain(t *testing.T) {
 	in := make([]*sample.Sample, 21)
 	for i := range in {
 		in[i] = sample.New(strings.Repeat("s", i+1))
