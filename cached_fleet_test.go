@@ -12,8 +12,10 @@ import (
 // TestDistributedCachedResume runs a djworker fleet with the shard cache
 // on. A cold run fills the cache from one side (in-process stream or a
 // 2-worker fleet) and a re-run over the same work dir reads it from the
-// other. The fleet must resume what local runs stored (the per-op
-// prefix), and every export equals the uncached reference.
+// other: the fleet must resume what local runs stored (the per-op
+// prefix) and local runs must resume what the fleet stored (the
+// stage-final entry). Every export equals the uncached reference and on
+// the re-run every cacheable shard-local op is served from the cache.
 func TestDistributedCachedResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
@@ -76,12 +78,9 @@ func TestDistributedCachedResume(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		cold, rerun func(*config.Recipe) ([]byte, *stream.Report)
-		// Local runs read only per-op entries so far: a fleet's
-		// stage-final entry is not resumed by them.
-		wantHits bool
 	}{
-		{"local_then_dispatched", local, dispatched, true},
-		{"dispatched_then_local", dispatched, local, false},
+		{"local_then_dispatched", local, dispatched},
+		{"dispatched_then_local", dispatched, local},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := recipe(true)
@@ -98,7 +97,7 @@ func TestDistributedCachedResume(t *testing.T) {
 			}
 			for _, i := range cached {
 				st := rep.OpStats[i]
-				if tc.wantHits && !st.CacheHit {
+				if !st.CacheHit {
 					t.Errorf("re-run op %d (%s) was not served from the cache", i, st.Name)
 				}
 			}

@@ -139,12 +139,16 @@ func main() {
 	if *output != "" {
 		recipe.ExportPath = *output
 	}
-	if *np != 0 {
-		recipe.NP = *np
-	}
-	if *targetMemMB != 0 {
-		recipe.TargetMemMB = *targetMemMB
-	}
+	// Only the flags given on the command line override, and then with
+	// any value: -np 0 (all cores) and -target-mem-mb 0 (no target) too.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "np":
+			recipe.NP = *np
+		case "target-mem-mb":
+			recipe.TargetMemMB = *targetMemMB
+		}
+	})
 	// -explain plans the recipe exactly as a run would see it, so it
 	// must come after every recipe-overriding flag above.
 	if *explain {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -132,4 +133,31 @@ func TestWorkersDieWithCoordinator(t *testing.T) {
 		cmd.Wait()
 		requireNoWorkers(t, wd)
 	})
+}
+
+// TestZeroFlagsOverrideRecipe: a flag given as 0 is a value the user
+// set, not an absent flag, so -target-mem-mb 0 clears the recipe's
+// memory target.
+func TestZeroFlagsOverrideRecipe(t *testing.T) {
+	dir := t.TempDir()
+	recipe := filepath.Join(dir, "recipe.yaml")
+	yaml := "project_name: zero-flags\ntarget_mem_mb: 64\nprocess:\n  - document_deduplicator:\n"
+	if err := os.WriteFile(recipe, []byte(yaml), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	explain := func(args ...string) string {
+		t.Helper()
+		out, err := djprocess(t, dir, nil, append([]string{"-recipe", recipe, "-explain"}, args...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("djprocess %v: %v\n%s", args, err, out)
+		}
+		return string(out)
+	}
+	const noTarget = "no memory target"
+	if out := explain(); strings.Contains(out, noTarget) {
+		t.Fatalf("recipe target_mem_mb: 64 not applied:\n%s", out)
+	}
+	if out := explain("-target-mem-mb", "0"); !strings.Contains(out, noTarget) {
+		t.Fatalf("-target-mem-mb 0 did not clear the recipe's target:\n%s", out)
+	}
 }

@@ -68,9 +68,8 @@ func (r *Report) InCount() int {
 type Executor struct {
 	recipe *config.Recipe
 	plan   *plan.Plan
-	specs  []config.OpSpec // aligned with the *unfused* recipe order
 	runner *OpRunner
-	store  *cache.Store
+	store  Store
 	ckpt   *cache.CheckpointManager
 	tele   *telemetry.Run
 }
@@ -89,7 +88,6 @@ func NewExecutor(r *config.Recipe) (*Executor, error) {
 	e := &Executor{
 		recipe: r,
 		plan:   p,
-		specs:  r.Process,
 		runner: NewOpRunner(p.Built(), r.Process, tracer),
 	}
 	if r.UseCache {
@@ -150,7 +148,7 @@ func (e *Executor) EnableTelemetry(t *telemetry.Run) {
 		return
 	}
 	e.tele = t
-	e.runner = e.runner.WithObserver(AttachTelemetry(t, e.plan))
+	RegisterOps(t, e.plan)
 	if tr := e.runner.Tracer(); tr != nil {
 		tr.SetSink(TraceJournalSink(t))
 	}
@@ -177,16 +175,16 @@ func EmitSpill(t *telemetry.Run, op ops.OP, planIdx int) {
 	})
 }
 
-// recipeFingerprint identifies this recipe + input dataset combination for
-// checkpoint compatibility checks.
-func (e *Executor) recipeFingerprint(d *dataset.Dataset) string {
+// planFingerprint identifies this plan + input dataset combination for
+// checkpoint compatibility. A checkpoint stores a plan index, so the
+// node identities are hashed in plan order: a profile sidecar that
+// reorders a filter group between a crash and its resume changes it.
+func (e *Executor) planFingerprint(d *dataset.Dataset) string {
 	h := fnv.New64a()
 	fmt.Fprint(h, d.Fingerprint(), "\x00")
-	for _, s := range e.specs {
-		fmt.Fprint(h, s.Name, "\x00")
-		fmt.Fprint(h, cache.Key("", s.Name, s.Params), "\x00")
+	for i := range e.plan.Nodes {
+		fmt.Fprint(h, e.runner.OpIdentity(e.plan.Nodes[i].Op), "\x00")
 	}
-	fmt.Fprintf(h, "fusion=%v", e.recipe.OpFusion)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -199,7 +197,6 @@ func (e *Executor) Run(d *dataset.Dataset) (*dataset.Dataset, *Report, error) {
 	start := time.Now()
 	nodes := e.plan.Nodes
 	report := &Report{PlanSize: len(nodes)}
-	np := e.recipe.NP
 
 	if e.tele != nil {
 		e.tele.SetInputTotal(d.Len())
@@ -207,13 +204,11 @@ func (e *Executor) Run(d *dataset.Dataset) (*dataset.Dataset, *Report, error) {
 		e.tele.Emit(PlanEvent(e.plan))
 	}
 
-	recipeFP := ""
+	planFP := ""
 	startIdx := 0
-	if e.ckpt != nil || e.store != nil {
-		recipeFP = e.recipeFingerprint(d)
-	}
 	if e.ckpt != nil {
-		if idx, saved, ok, err := e.ckpt.Resume(recipeFP); err != nil {
+		planFP = e.planFingerprint(d)
+		if idx, saved, ok, err := e.ckpt.Resume(planFP); err != nil {
 			return nil, nil, err
 		} else if ok {
 			d = saved
@@ -222,90 +217,54 @@ func (e *Executor) Run(d *dataset.Dataset) (*dataset.Dataset, *Report, error) {
 		}
 	}
 
-	// Chain cache keys: key_i = H(key_{i-1}, op_i identity). key_0 derives
-	// from the dataset content alone, so editing the recipe tail reuses the
-	// whole cached prefix. (Reordering the plan — e.g. the first run after
-	// profiles land — changes the chain and invalidates it; the cache
-	// refills under the new, faster order.)
-	chainKey := ""
+	// key_0 derives from the dataset content alone, so editing the recipe
+	// tail reuses the whole cached prefix. (Reordering the plan — e.g. the
+	// first run after profiles land — changes the chain and invalidates
+	// it; the cache refills under the new, faster order.)
+	w := Walk{Runner: e.runner, Ops: e.plan.Ops()[startIdx:], First: startIdx, NP: e.recipe.NP}
+	key := ""
 	if e.store != nil {
-		chainKey = cache.Key(d.Fingerprint(), "dataset", nil)
-		for i := 0; i < startIdx && i < len(nodes); i++ {
-			chainKey = e.runner.OpCacheKey(chainKey, nodes[i].Op)
+		w.Store = e.store
+		key = cache.Key(d.Fingerprint(), "dataset", nil)
+		for i := 0; i < startIdx; i++ {
+			key = e.runner.OpCacheKey(key, nodes[i].Op)
 		}
 	}
-
-	for i := startIdx; i < len(nodes); i++ {
-		op := nodes[i].Op
-		opStart := time.Now()
-		inCount := d.Len()
-
-		var key string
-		if e.store != nil {
-			key = e.runner.OpCacheKey(chainKey, op)
-			if cached, ok, err := e.store.Get(key); err != nil {
-				return nil, nil, err
-			} else if ok {
-				d = cached
-				chainKey = key
-				stat := OpStat{Name: op.Name(), InCount: inCount, OutCount: d.Len(),
-					Duration: time.Since(opStart), CacheHit: true, PlanIndex: i}
-				report.OpStats = append(report.OpStats, stat)
-				e.runner.TraceCacheHit(op, inCount, d.Len(), stat.Duration)
-				if e.tele != nil {
-					e.tele.Op(i).CacheHit(inCount, d.Len())
-					e.tele.Emit(telemetry.Event{
-						Type: telemetry.EvCacheHit, Parent: e.tele.RunSpan(),
-						Name: op.Name(), Kind: OpKind(op), PlanIdx: i,
-						In: int64(inCount), Out: int64(d.Len()),
-						DurNS: int64(stat.Duration),
-					})
-				}
-				continue
-			}
-		}
-
-		out, err := e.runner.ApplyOp(op, d, np)
-		if err != nil {
-			// Preserve a recovery point before surfacing the failure, as
-			// described in Sec. 4.1.1 (states are saved when errors occur).
-			if e.ckpt != nil {
-				_ = e.ckpt.Save(recipeFP, i, d)
-			}
-			return nil, nil, fmt.Errorf("core: op %d (%s): %w", i, op.Name(), err)
-		}
-		d = out
-
-		if e.store != nil {
-			if err := e.store.Put(key, d); err != nil {
-				return nil, nil, err
-			}
-			chainKey = key
-		}
-		if e.ckpt != nil {
-			if err := e.ckpt.Save(recipeFP, i+1, d); err != nil {
-				return nil, nil, err
-			}
-		}
+	next := startIdx // d is the input of plan op next
+	w.OnStep = func(s Step) error {
+		d, next = s.Data, s.PlanIdx+1
 		stat := OpStat{
-			Name: op.Name(), InCount: inCount, OutCount: d.Len(),
-			Duration: time.Since(opStart), PlanIndex: i,
-			Workers: dataset.Workers(np),
+			Name: s.Op.Name(), InCount: s.In, OutCount: s.Out,
+			Duration: s.Duration, CacheHit: s.CacheHit, PlanIndex: s.PlanIdx,
 		}
-		if ff, ok := op.(*plan.FusedFilter); ok {
-			stat.Members = ff.TakeMemberStats()
+		if !s.CacheHit {
+			stat.Workers = s.Workers
+			if ff, ok := s.Op.(*plan.FusedFilter); ok {
+				stat.Members = ff.TakeMemberStats()
+			}
+			if e.ckpt != nil {
+				if err := e.ckpt.Save(planFP, next, d); err != nil {
+					return err
+				}
+			}
 		}
 		report.OpStats = append(report.OpStats, stat)
-		if e.tele != nil {
-			e.tele.Emit(telemetry.Event{
-				Type: telemetry.EvOpComplete, Span: e.tele.NewSpan(), Parent: e.tele.RunSpan(),
-				Name: op.Name(), Kind: OpKind(op), PlanIdx: i,
-				In: int64(stat.InCount), Out: int64(stat.OutCount),
-				DurNS: int64(stat.Duration), Workers: stat.Workers,
-			})
-			EmitSpill(e.tele, op, i)
+		EmitOp(e.tele, EventSite{Parent: e.tele.RunSpan()}, s)
+		if !s.CacheHit {
+			EmitSpill(e.tele, s.Op, s.PlanIdx)
 		}
+		return nil
 	}
+	out, err := w.Run(d, key)
+	if err != nil {
+		// Preserve a recovery point before surfacing the failure, as
+		// described in Sec. 4.1.1 (states are saved when errors occur).
+		if e.ckpt != nil {
+			_ = e.ckpt.Save(planFP, next, d)
+		}
+		return nil, nil, fmt.Errorf("core: %w", err)
+	}
+	d = out
 
 	if e.ckpt != nil {
 		_ = e.ckpt.Clear()

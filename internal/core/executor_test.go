@@ -3,14 +3,19 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/dataset"
+	"repro/internal/dist"
 	"repro/internal/ops"
 	_ "repro/internal/ops/all"
+	"repro/internal/plan"
 	"repro/internal/sample"
 )
 
@@ -376,6 +381,99 @@ process:
 	}
 	if out.Len() != 2 {
 		t.Fatalf("survivors = %d", out.Len())
+	}
+}
+
+// pinFilterOrder writes the recipe's profile sidecar so that the measured
+// cost ranks the named ops in the given order (selectivity 1 each).
+func pinFilterOrder(t *testing.T, r *config.Recipe, order ...string) {
+	t.Helper()
+	set := dist.NewProfileSet()
+	for rank, name := range order {
+		for _, s := range r.Process {
+			if s.Name == name {
+				set.Observe(cache.Key("", s.Name, s.Params), s.Name, float64(int(100)<<(4*rank)), 1)
+			}
+		}
+	}
+	path := plan.ProfilePath(r)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := dist.SaveProfiles(path, set); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExecutorCheckpointIgnoresReorderedPlan: a checkpoint stores a plan
+// index, so a sidecar that reorders a filter group between the crash and
+// the resume must not let the resumed run start at that index of the new
+// order — word_num_filter would be skipped. The run either starts over
+// or resumes into the same export as an uncheckpointed run.
+func TestExecutorCheckpointIgnoresReorderedPlan(t *testing.T) {
+	yaml := `
+project_name: ckpt-reorder
+use_cache: false
+use_checkpoint: true
+op_fusion: true
+process:
+  - whitespace_normalization_mapper:
+  - text_length_filter:
+      min_len: 1
+  - fail_once_filter:
+  - word_num_filter:
+      min_num: 3
+`
+	texts := []string{
+		"alpha beta gamma", "delta", "epsilon zeta eta theta",
+		"iota kappa", "lambda mu nu xi", "omicron",
+	}
+	ref := testRecipe(t, strings.Replace(yaml, "use_checkpoint: true", "use_checkpoint: false", 1))
+	re, err := NewExecutor(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := re.Run(dataset.FromTexts(texts))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := testRecipe(t, yaml)
+	// Cold order: text_length, fail_once, word_num. The run fails at
+	// plan index 2 and checkpoints index 2: mapper and text_length done.
+	pinFilterOrder(t, r, "text_length_filter", "fail_once_filter", "word_num_filter")
+	e, err := NewExecutor(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Plan().Nodes[2].Op.Name(); got != "fail_once_filter" {
+		t.Fatalf("plan index 2 is %s, want fail_once_filter", got)
+	}
+	failOnceArmed.Store(true)
+	if _, _, err := e.Run(dataset.FromTexts(texts)); err == nil {
+		t.Fatal("expected injected failure")
+	}
+
+	// The new sidecar moves word_num_filter to the front of the group.
+	// Resuming at index 2 of this order would run fail_once and
+	// text_length only.
+	pinFilterOrder(t, r, "word_num_filter", "fail_once_filter", "text_length_filter")
+	e2, err := NewExecutor(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e2.Plan().Nodes[1].Op.Name(); got != "word_num_filter" {
+		t.Fatalf("reordered plan index 1 is %s, want word_num_filter", got)
+	}
+	out, _, err := e2.Run(dataset.FromTexts(texts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Fingerprint() != want.Fingerprint() {
+		for _, s := range out.Samples {
+			t.Logf("survivor: %q", s.Text)
+		}
+		t.Fatalf("resumed export has %d samples, uncheckpointed %d", out.Len(), want.Len())
 	}
 }
 

@@ -14,48 +14,14 @@ import (
 	"repro/internal/trace"
 )
 
-// OpObservation is one measured operator application: what went in, what
-// came out, how many text bytes were touched, and how long it took: wall
-// time yields per-sample cost, Out/In yields selectivity, Bytes yields
-// the memory footprint. The telemetry instruments consume it.
-type OpObservation struct {
-	Op       ops.OP
-	In, Out  int
-	Bytes    int64 // input text bytes entering the op
-	Duration time.Duration
-}
-
-// OpObserver receives one OpObservation per operator application.
-// Implementations must be safe for concurrent calls: the streaming engine
-// applies ops from many shard workers at once.
-type OpObserver interface {
-	ObserveOp(OpObservation)
-}
-
 // OpRunner applies planned operators to datasets: the per-op execution
-// logic — type dispatch, tracer hooks, and chain cache keys — shared by
-// the batch Executor and the streaming engine (internal/stream). An
-// OpRunner is immutable after construction and safe for concurrent use;
-// the tracer (if any) serializes its own recording.
+// logic — type dispatch, tracer hooks, and chain cache keys — behind the
+// op-chain Walk every backend runs. An OpRunner is immutable after
+// construction and safe for concurrent use; the tracer (if any)
+// serializes its own recording.
 type OpRunner struct {
 	tracer *trace.Tracer
 	ids    map[ops.OP]string
-	obs    OpObserver
-}
-
-// WithObserver returns a copy of the runner that reports every operator
-// application to obs. The receiver is unchanged, preserving immutability.
-func (r *OpRunner) WithObserver(obs OpObserver) *OpRunner {
-	c := *r
-	c.obs = obs
-	return &c
-}
-
-// observe emits one measurement (no-op without an observer).
-func (r *OpRunner) observe(op ops.OP, in, out int, bytes int64, dur time.Duration) {
-	if r.obs != nil {
-		r.obs.ObserveOp(OpObservation{Op: op, In: in, Out: out, Bytes: bytes, Duration: dur})
-	}
 }
 
 // NewOpRunner builds a runner for the given instantiated operators.
@@ -115,11 +81,6 @@ func (r *OpRunner) ApplyOp(op ops.OP, d *dataset.Dataset, np int) (*dataset.Data
 // each worker contiguous batches so per-sample overhead (scratch
 // attachment, context clearing) amortizes across the chunk.
 func (r *OpRunner) ApplyMapper(m ops.Mapper, d *dataset.Dataset, np int) (*dataset.Dataset, error) {
-	var inBytes int64
-	if r.obs != nil {
-		inBytes = d.TotalBytes() // before mutation: mappers edit text in place
-	}
-	obsStart := time.Now()
 	var edits []trace.Edit
 	collect := r.tracer != nil
 	editCap := 0
@@ -165,7 +126,6 @@ func (r *OpRunner) ApplyMapper(m ops.Mapper, d *dataset.Dataset, np int) (*datas
 			Duration: time.Since(start), Edits: edits,
 		})
 	}
-	r.observe(m, d.Len(), d.Len(), inBytes, time.Since(obsStart))
 	return d, nil
 }
 
@@ -175,10 +135,6 @@ func (r *OpRunner) ApplyMapper(m ops.Mapper, d *dataset.Dataset, np int) (*datas
 // interfaces (fused ops) own the batch loop themselves; dropped samples
 // are only collected when a tracer wants them.
 func (r *OpRunner) ApplyFilter(f ops.Filter, d *dataset.Dataset, np int) (*dataset.Dataset, error) {
-	var inBytes int64
-	if r.obs != nil {
-		inBytes = d.TotalBytes()
-	}
 	start := time.Now()
 	var statsErr error
 	if sb, ok := f.(ops.StatsBatcher); ok {
@@ -231,16 +187,11 @@ func (r *OpRunner) ApplyFilter(f ops.Filter, d *dataset.Dataset, np int) (*datas
 			Duration: time.Since(start), Discards: discards,
 		})
 	}
-	r.observe(f, d.Len(), kept.Len(), inBytes, time.Since(start))
 	return kept, nil
 }
 
 // ApplyDedup runs a dataset-global deduplicator.
 func (r *OpRunner) ApplyDedup(dd ops.Deduplicator, d *dataset.Dataset, np int) (*dataset.Dataset, error) {
-	var inBytes int64
-	if r.obs != nil {
-		inBytes = d.TotalBytes()
-	}
 	start := time.Now()
 	kept, pairs, err := dd.Dedup(d, np)
 	if err != nil {
@@ -264,24 +215,5 @@ func (r *OpRunner) ApplyDedup(dd ops.Deduplicator, d *dataset.Dataset, np int) (
 			Duration: time.Since(start), DupPairs: dp,
 		})
 	}
-	r.observe(dd, d.Len(), kept.Len(), inBytes, time.Since(start))
 	return kept, nil
-}
-
-// TraceCacheHit records a cache-hit event for op (no-op without a tracer).
-func (r *OpRunner) TraceCacheHit(op ops.OP, in, out int, dur time.Duration) {
-	if r.tracer == nil {
-		return
-	}
-	kind := "mapper"
-	switch op.(type) {
-	case ops.Filter:
-		kind = "filter"
-	case ops.Deduplicator:
-		kind = "deduplicator"
-	}
-	r.tracer.Record(trace.Event{
-		OpName: op.Name(), Kind: kind, InCount: in, OutCount: out,
-		Duration: dur, CacheHit: true,
-	})
 }

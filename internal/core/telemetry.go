@@ -9,40 +9,21 @@ import (
 
 // This file adapts core types onto the telemetry substrate
 // (internal/telemetry, which deliberately imports nothing from the rest
-// of the repository): the telemetry observer, plan-node registration, journal
-// event construction, and report-row conversion shared by both backends.
+// of the repository): plan-node registration, journal event
+// construction, and report-row conversion shared by both backends.
 
-// telemetryObserver routes runner observations to per-op instrument
-// handles resolved once at attach time — the hot path is one map lookup
-// plus atomic adds, no allocation.
-type telemetryObserver struct {
-	byOp map[ops.OP]*telemetry.OpMetrics
-}
-
-func (t *telemetryObserver) ObserveOp(o OpObservation) {
-	if m, ok := t.byOp[o.Op]; ok {
-		m.Observe(o.In, o.Out, o.Bytes, o.Duration)
-	}
-}
-
-// AttachTelemetry registers every plan node with the run's metric
-// registry and returns an observer feeding those instruments. Predicted
-// cost is forwarded only when measured (ns/sample); static hint units
-// would poison the ETA.
-func AttachTelemetry(t *telemetry.Run, p *plan.Plan) OpObserver {
-	if t == nil || p == nil {
-		return nil
-	}
-	byOp := make(map[ops.OP]*telemetry.OpMetrics, len(p.Nodes))
+// RegisterOps registers every plan node with the run's metric registry;
+// EmitOp feeds those instruments. Predicted cost is forwarded only when
+// measured (ns/sample); static hint units would poison the ETA.
+func RegisterOps(t *telemetry.Run, p *plan.Plan) {
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
 		var predNS int64
 		if n.Measured {
 			predNS = int64(n.Cost)
 		}
-		byOp[n.Op] = t.RegisterOp(i, n.Op.Name(), predNS, n.Selectivity)
+		t.RegisterOp(i, n.Op.Name(), predNS, n.Selectivity)
 	}
-	return &telemetryObserver{byOp: byOp}
 }
 
 // OpKind names an operator's category for journal events.

@@ -20,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -139,7 +138,7 @@ func (w *WorkerServer) configure(creq dist.ConfigureRequest) dist.ConfigureRespo
 		if err == nil {
 			sess.tele = tele
 			tele.Begin("worker", r.ProjectName, "coordinator", 0)
-			sess.runner = sess.runner.WithObserver(core.AttachTelemetry(tele, p))
+			core.RegisterOps(tele, p)
 		}
 	}
 
@@ -168,35 +167,29 @@ func (w *WorkerServer) runOps(sess *session, h dist.RunHeader, d *dataset.Datase
 		return nil, nil, fmt.Sprintf("request says %d samples, payload has %d", h.Samples, d.Len())
 	}
 
-	flows := make([]dist.OpFlow, 0, h.ToOp-h.FromOp)
 	for i := h.FromOp; i < h.ToOp; i++ {
-		node := &sess.plan.Nodes[i]
-		if node.Capability != plan.ShardLocal {
-			return nil, nil, fmt.Sprintf("op %d (%s) is not shard-local", i, node.Op.Name())
-		}
-		in := d.Len()
-		inBytes := d.TotalBytes()
-		start := time.Now()
-		out, err := sess.runner.ApplyOp(node.Op, d, 1)
-		if err != nil {
-			return nil, nil, fmt.Sprintf("op %d (%s): %v", i, node.Op.Name(), err)
-		}
-		dur := time.Since(start)
-		d = out
-		flows = append(flows, dist.OpFlow{
-			PlanIdx: i, Name: node.Op.Name(),
-			In: int64(in), Out: int64(d.Len()), Bytes: inBytes, DurNS: int64(dur),
-		})
-		if sess.tele != nil {
-			sess.tele.Emit(telemetry.Event{
-				Type: telemetry.EvOpComplete, Span: sess.tele.NewSpan(),
-				Name: node.Op.Name(), Kind: core.OpKind(node.Op), PlanIdx: i,
-				Shard: h.Shard, In: int64(in), Out: int64(d.Len()),
-				DurNS: int64(dur), Workers: 1,
-			})
+		if n := &sess.plan.Nodes[i]; n.Capability != plan.ShardLocal {
+			return nil, nil, fmt.Sprintf("op %d (%s) is not shard-local", i, n.Op.Name())
 		}
 	}
-	return d, flows, ""
+	// The coordinator owns the cache: the walk here executes every op.
+	flows := make([]dist.OpFlow, 0, h.ToOp-h.FromOp)
+	walk := core.Walk{
+		Runner: sess.runner, Ops: sess.plan.Ops()[h.FromOp:h.ToOp], First: h.FromOp, NP: 1,
+		OnStep: func(s core.Step) error {
+			flows = append(flows, dist.OpFlow{
+				PlanIdx: s.PlanIdx, Name: s.Op.Name(),
+				In: int64(s.In), Out: int64(s.Out), Bytes: s.Bytes, DurNS: int64(s.Duration),
+			})
+			core.EmitOp(sess.tele, core.EventSite{Shard: h.Shard}, s)
+			return nil
+		},
+	}
+	out, err := walk.Run(d, "")
+	if err != nil {
+		return nil, nil, err.Error()
+	}
+	return out, flows, ""
 }
 
 // handleStage is the stage endpoint: the request arrives as a

@@ -20,6 +20,9 @@
 // With the recipe's cache enabled, every shard's leading run of
 // shard-local ops is cached per (shard content, op chain) key via
 // internal/cache, so an interrupted run resumes at shard granularity.
+// Each shard-local stage is one core.Walk — the same probe/apply/put
+// loop as the batch executor's — whether it runs in-process or on a
+// djworker fleet (see dispatch.go).
 //
 // The pipeline's shape is fixed for the whole run: np workers (the
 // recipe's worker count), a static shard size, and a gate bounding the
@@ -210,7 +213,7 @@ func New(r *config.Recipe, opts Options) (*Engine, error) {
 	}
 	if opts.Telemetry != nil {
 		e.tele = opts.Telemetry
-		e.runner = e.runner.WithObserver(core.AttachTelemetry(e.tele, p))
+		core.RegisterOps(e.tele, p)
 		if tracer != nil {
 			tracer.SetSink(core.TraceJournalSink(e.tele))
 		}
@@ -295,43 +298,28 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 		if pi == 0 {
 			totalIn, sourceShards = in, shards
 		}
-		if last {
-			if e.tele != nil {
-				e.tele.Emit(telemetry.Event{
-					Type: telemetry.EvSpanEnd, Span: phaseSpan, Parent: e.tele.RunSpan(),
-					Kind: "phase", Phase: pi, DurNS: int64(time.Since(phaseStart)),
-				})
+		if !last {
+			// Pipeline barrier: merge the drained shards in order, apply
+			// the global op with full parallelism, and re-shard the result.
+			w := core.Walk{Runner: e.runner, Ops: []ops.OP{ph.barrier}, First: ph.barrierIdx, NP: e.recipe.NP,
+				OnStep: func(s core.Step) error {
+					agg.addOp(s.PlanIdx, s.In, s.Out, s.Duration, s.Duration, false, s.Workers)
+					core.EmitOp(e.tele, core.EventSite{Parent: phaseSpan, Phase: pi, Kind: "barrier"}, s)
+					core.EmitSpill(e.tele, s.Op, s.PlanIdx)
+					return nil
+				}}
+			out, err := w.Run(dataset.Concat(collected...), "")
+			if err != nil {
+				return nil, fmt.Errorf("stream: barrier %w", err)
 			}
-			break
+			if cur, err = NewDatasetSource(out, e.shardSize); err != nil {
+				return nil, err
+			}
 		}
-		// Pipeline barrier: merge the drained shards in order, apply the
-		// global op with full parallelism, and re-shard the result.
-		merged := dataset.Concat(collected...)
-		bStart := time.Now()
-		out, err := e.runner.ApplyOp(ph.barrier, merged, e.recipe.NP)
-		if err != nil {
-			return nil, fmt.Errorf("stream: barrier op %s: %w", ph.barrier.Name(), err)
-		}
-		bDur := time.Since(bStart)
-		agg.addOp(ph.barrierIdx, merged.Len(), out.Len(), bDur, bDur, false,
-			dataset.Workers(e.recipe.NP))
-		if e.tele != nil {
-			e.tele.Emit(telemetry.Event{
-				Type: telemetry.EvOpComplete, Span: e.tele.NewSpan(), Parent: phaseSpan,
-				Name: ph.barrier.Name(), Kind: "barrier", PlanIdx: ph.barrierIdx,
-				Phase: pi, In: int64(merged.Len()), Out: int64(out.Len()),
-				DurNS: int64(bDur), Workers: dataset.Workers(e.recipe.NP),
-			})
-			core.EmitSpill(e.tele, ph.barrier, ph.barrierIdx)
-			e.tele.Emit(telemetry.Event{
-				Type: telemetry.EvSpanEnd, Span: phaseSpan, Parent: e.tele.RunSpan(),
-				Kind: "phase", Phase: pi, DurNS: int64(time.Since(phaseStart)),
-			})
-		}
-		cur, err = NewDatasetSource(out, e.shardSize)
-		if err != nil {
-			return nil, err
-		}
+		e.tele.Emit(telemetry.Event{
+			Type: telemetry.EvSpanEnd, Span: phaseSpan, Parent: e.tele.RunSpan(),
+			Kind: "phase", Phase: pi, DurNS: int64(time.Since(phaseStart)),
+		})
 	}
 	if err := sink.Close(); err != nil {
 		return nil, err
@@ -386,7 +374,7 @@ type phaseRun struct {
 }
 
 func (p *phaseRun) fail(err error) {
-	if err == errAborted {
+	if errors.Is(err, errAborted) {
 		return
 	}
 	p.abortOnce.Do(func() {
@@ -571,17 +559,8 @@ func (p *phaseRun) processShard(sh *Shard) error {
 		var err error
 		switch st.kind {
 		case stageLocal:
-			// Only planner-annotated runs see the shard cache: their
-			// results are pure functions of the shard's content, while
-			// runs behind a shared-index stage depend on other shards'
-			// signatures (see the plan's cache-boundary pass).
 			var hit bool
-			useCache := st.cacheable && e.store != nil
-			if e.dispatch != nil {
-				d, hit, err = p.runLocalDispatch(st, d, useCache, sh.Index, shardSpan)
-			} else {
-				d, hit, err = p.runLocal(st, d, useCache, sh.Index, shardSpan)
-			}
+			d, hit, err = p.runLocal(st, d, sh.Index, shardSpan)
 			resumed = resumed || hit
 		case stageIndex:
 			d, err = p.runIndex(si, st, sh.Index, d, shardSpan)
@@ -607,82 +586,47 @@ func (p *phaseRun) processShard(sh *Shard) error {
 	return nil
 }
 
-// runLocal applies one run of shard-local ops, mirroring the batch
-// executor's chain-cache discipline per shard when useCache is set.
-func (p *phaseRun) runLocal(st stage, d *dataset.Dataset, useCache bool, shardIdx int, shardSpan int64) (*dataset.Dataset, bool, error) {
-	chainKey := ""
-	if useCache {
-		chainKey = cache.Key(d.Fingerprint(), "stream-shard", nil)
-	}
-	out, hits, err := p.runLocalFrom(st, d, 0, chainKey, useCache, shardIdx, shardSpan)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, hits == len(st.ops) && hits > 0, nil
-}
-
-// runLocalFrom is runLocal starting at op index `from` with the chain
-// cache key already folded up to it — the in-process fallback entry
-// point for a dispatched stage whose cached prefix was consumed before
-// the fleet died. It returns the cache hits seen from `from` onward.
-func (p *phaseRun) runLocalFrom(st stage, d *dataset.Dataset, from int, chainKey string, useCache bool, shardIdx int, shardSpan int64) (*dataset.Dataset, int, error) {
+// runLocal walks one run of shard-local ops over a shard (core.Walk):
+// in-process, or through the dispatcher with in-process execution as the
+// fallback when the fleet is dead. Only planner-annotated runs see the
+// shard cache: their results are pure functions of the shard's content,
+// while runs behind a shared-index stage depend on other shards'
+// signatures (see the plan's cache-boundary pass). It reports whether
+// the cache served every op.
+func (p *phaseRun) runLocal(st stage, d *dataset.Dataset, shardIdx int, shardSpan int64) (*dataset.Dataset, bool, error) {
 	e := p.eng
-	hits := 0
-	for i := from; i < len(st.ops); i++ {
-		op := st.ops[i]
-		if p.aborted() {
-			return nil, 0, errAborted
-		}
-		opStart := time.Now()
-		inCount := d.Len()
-		var key string
-		if useCache {
-			key = e.runner.OpCacheKey(chainKey, op)
-			if cached, ok, err := e.store.Get(key); err != nil {
-				return nil, 0, err
-			} else if ok {
-				d = cached
-				chainKey = key
-				hits++
-				p.agg.addOp(st.planIdx[i], inCount, d.Len(), time.Since(opStart), 0, true, 1)
-				e.runner.TraceCacheHit(op, inCount, d.Len(), time.Since(opStart))
-				if e.tele != nil {
-					e.tele.Op(st.planIdx[i]).CacheHit(inCount, d.Len())
-					e.tele.Emit(telemetry.Event{
-						Type: telemetry.EvCacheHit, Parent: shardSpan,
-						Name: op.Name(), Kind: core.OpKind(op), PlanIdx: st.planIdx[i],
-						Phase: p.phase, Shard: shardIdx,
-						In: int64(inCount), Out: int64(d.Len()),
-						DurNS: int64(time.Since(opStart)),
-					})
-				}
-				continue
-			}
-		}
-		out, err := e.runner.ApplyOp(op, d, 1)
-		if err != nil {
-			return nil, 0, fmt.Errorf("stream: op %d (%s): %w", st.planIdx[i], op.Name(), err)
-		}
-		d = out
-		if useCache {
-			if err := e.store.Put(key, d); err != nil {
-				return nil, 0, err
-			}
-			chainKey = key
-		}
-		opDur := time.Since(opStart)
-		p.agg.addOp(st.planIdx[i], inCount, d.Len(), opDur, opDur, false, 1)
-		if e.tele != nil {
-			e.tele.Emit(telemetry.Event{
-				Type: telemetry.EvOpComplete, Span: e.tele.NewSpan(), Parent: shardSpan,
-				Name: op.Name(), Kind: core.OpKind(op), PlanIdx: st.planIdx[i],
-				Phase: p.phase, Shard: shardIdx,
-				In: int64(inCount), Out: int64(d.Len()),
-				DurNS: int64(opDur), Workers: 1,
-			})
+	if p.aborted() {
+		return nil, false, errAborted
+	}
+	w := core.Walk{Runner: e.runner, Ops: st.ops, First: st.planIdx[0], NP: 1}
+	key := ""
+	if st.cacheable && e.store != nil {
+		w.Store = e.store
+		key = cache.Key(d.Fingerprint(), "stream-shard", nil)
+	}
+	if e.dispatch != nil {
+		w.Remote = func(from, to int, d *dataset.Dataset) (*dataset.Dataset, []dist.OpFlow, int, error) {
+			return e.dispatch.RunStage(shardIdx, from, to, d)
 		}
 	}
-	return d, hits, nil
+	site := core.EventSite{Parent: shardSpan, Phase: p.phase, Shard: shardIdx}
+	hits := 0
+	w.OnStep = func(s core.Step) error {
+		if s.CacheHit {
+			hits++
+		}
+		p.agg.addOp(s.PlanIdx, s.In, s.Out, s.Duration, s.Duration, s.CacheHit, 1)
+		core.EmitOp(e.tele, site, s)
+		if p.aborted() {
+			return errAborted
+		}
+		return nil
+	}
+	out, err := w.Run(d, key)
+	if err != nil {
+		return nil, false, fmt.Errorf("stream: %w", err)
+	}
+	return out, hits == len(st.ops), nil
 }
 
 // runIndex passes one shard through a shared-signature dedup stage:
@@ -727,31 +671,24 @@ func (p *phaseRun) runIndex(si int, st stage, shardIdx int, d *dataset.Dataset, 
 	}
 
 	out := dataset.New(kept)
+	dur := time.Since(opStart)
 	// The report keeps the wall view (wait included); the executed view
-	// feeding profile persistence excludes the turn wait — queueing is
-	// not work.
-	p.agg.addOp(st.planIdx[0], d.Len(), out.Len(), time.Since(opStart),
-		time.Since(opStart)-wait, false, 1)
+	// feeding profile persistence, like the op's instruments, excludes
+	// the turn wait — queueing is not work.
+	p.agg.addOp(st.planIdx[0], d.Len(), out.Len(), dur, dur-wait, false, 1)
 	if t := p.eng.tele; t != nil {
-		// The shared-index path bypasses the runner observer: feed the
-		// instruments explicitly, with the turn wait excluded from the
-		// cost signal.
-		t.Op(st.planIdx[0]).Observe(d.Len(), out.Len(), d.TotalBytes(), time.Since(opStart)-wait)
 		if wait > 0 {
 			t.ObserveIndexWait(st.dedup.Name(), wait)
 		}
-		t.Emit(telemetry.Event{
-			Type: telemetry.EvOpComplete, Span: t.NewSpan(), Parent: shardSpan,
-			Name: st.dedup.Name(), Kind: "deduplicator", PlanIdx: st.planIdx[0],
-			Phase: p.phase, Shard: shardIdx,
-			In: int64(d.Len()), Out: int64(out.Len()),
-			DurNS: int64(time.Since(opStart)), Workers: 1,
+		core.EmitOp(t, core.EventSite{Parent: shardSpan, Phase: p.phase, Shard: shardIdx}, core.Step{
+			Op: st.dedup, PlanIdx: st.planIdx[0], In: d.Len(), Out: out.Len(),
+			Duration: dur, Wait: wait, Bytes: d.TotalBytes(), Workers: 1,
 		})
 	}
 	if tr != nil {
 		tr.Record(trace.Event{
 			OpName: st.dedup.Name(), Kind: "deduplicator",
-			InCount: d.Len(), OutCount: out.Len(), Duration: time.Since(opStart),
+			InCount: d.Len(), OutCount: out.Len(), Duration: dur,
 			DupPairs: dups,
 		})
 	}
