@@ -202,6 +202,14 @@ func TestWalkRemote(t *testing.T) {
 		t.Fatalf("fallback walk: %d puts, steps %+v", len(dead.puts), *steps2)
 	}
 
+	w4, _ := newWalk(t, nil)
+	w4.Remote = func(_, _ int, d *dataset.Dataset) (*dataset.Dataset, []dist.OpFlow, int, error) {
+		return d, []dist.OpFlow{{PlanIdx: len(w4.Ops)}}, 1, nil
+	}
+	if _, err := w4.Run(walkTexts(), ""); err == nil {
+		t.Fatal("a remote flow outside the requested ops was accepted")
+	}
+
 	w3, _ := newWalk(t, nil)
 	boom := errors.New("boom")
 	w3.Remote = func(int, int, *dataset.Dataset) (*dataset.Dataset, []dist.OpFlow, int, error) {

@@ -119,7 +119,7 @@ const (
 type stage struct {
 	kind        stageKind
 	ops         []ops.OP          // stageLocal: the run, in plan order
-	planIdx     []int             // plan indexes aligned with ops (or the one dedup)
+	first       int               // plan index of ops[0] (or of the one dedup)
 	dedup       ops.StreamDeduper // stageIndex only
 	cacheable   bool              // stageLocal: planner-annotated shard-cacheable run
 	spillBudget int64             // stageIndex: planner's spill budget (0 = in-memory)
@@ -141,12 +141,11 @@ func splitPhases(p *plan.Plan) []phase {
 	var phases []phase
 	var stages []stage
 	var run []ops.OP
-	var runIdx []int
-	runCacheable := false
+	runFirst, runCacheable := 0, false
 	flush := func() {
 		if len(run) > 0 {
-			stages = append(stages, stage{kind: stageLocal, ops: run, planIdx: runIdx, cacheable: runCacheable})
-			run, runIdx = nil, nil
+			stages = append(stages, stage{kind: stageLocal, ops: run, first: runFirst, cacheable: runCacheable})
+			run = nil
 		}
 	}
 	for i := range p.Nodes {
@@ -154,14 +153,13 @@ func splitPhases(p *plan.Plan) []phase {
 		switch n.Capability {
 		case plan.ShardLocal:
 			if len(run) == 0 {
-				runCacheable = n.StreamCacheable
+				runFirst, runCacheable = i, n.StreamCacheable
 			}
 			run = append(run, n.Op)
-			runIdx = append(runIdx, i)
 		case plan.SharedIndex:
 			flush()
 			stages = append(stages, stage{
-				kind: stageIndex, dedup: n.Op.(ops.StreamDeduper), planIdx: []int{i},
+				kind: stageIndex, dedup: n.Op.(ops.StreamDeduper), first: i,
 				spillBudget: n.SpillBudget,
 			})
 		case plan.Barrier:
@@ -427,14 +425,14 @@ func (e *Engine) runPhase(phaseIdx int, phaseSpan int64, src Source, stages []st
 				e.tele.ObserveSpill(st.dedup.Name(), sst.Runs, sst.Bytes)
 				e.tele.Emit(telemetry.Event{
 					Type: telemetry.EvSpill, Parent: phaseSpan,
-					Name: st.dedup.Name(), PlanIdx: st.planIdx[0], Phase: phaseIdx,
+					Name: st.dedup.Name(), PlanIdx: st.first, Phase: phaseIdx,
 					Bytes: sst.Bytes, SpillRuns: sst.Runs,
 				})
 			}
 			waits, wait := x.WaitStats()
 			e.tele.Emit(telemetry.Event{
 				Type: telemetry.EvIndex, Parent: phaseSpan,
-				Name: st.dedup.Name(), PlanIdx: st.planIdx[0], Phase: phaseIdx,
+				Name: st.dedup.Name(), PlanIdx: st.first, Phase: phaseIdx,
 				Partitions: 1, Waits: waits, DurNS: int64(wait),
 			})
 		}
@@ -598,7 +596,7 @@ func (p *phaseRun) runLocal(st stage, d *dataset.Dataset, shardIdx int, shardSpa
 	if p.aborted() {
 		return nil, false, errAborted
 	}
-	w := core.Walk{Runner: e.runner, Ops: st.ops, First: st.planIdx[0], NP: 1}
+	w := core.Walk{Runner: e.runner, Ops: st.ops, First: st.first, NP: 1}
 	key := ""
 	if st.cacheable && e.store != nil {
 		w.Store = e.store
@@ -648,7 +646,7 @@ func (p *phaseRun) runIndex(si int, st stage, shardIdx int, d *dataset.Dataset, 
 	}
 	if err != nil {
 		return nil, fmt.Errorf("stream: op %d (%s) signature index: %w",
-			st.planIdx[0], st.dedup.Name(), err)
+			st.first, st.dedup.Name(), err)
 	}
 	// Dup pairs carry op-input ordinals, as in the batch op. The kept
 	// text is at hand only when its holder sits in this shard.
@@ -675,13 +673,13 @@ func (p *phaseRun) runIndex(si int, st stage, shardIdx int, d *dataset.Dataset, 
 	// The report keeps the wall view (wait included); the executed view
 	// feeding profile persistence, like the op's instruments, excludes
 	// the turn wait — queueing is not work.
-	p.agg.addOp(st.planIdx[0], d.Len(), out.Len(), dur, dur-wait, false, 1)
+	p.agg.addOp(st.first, d.Len(), out.Len(), dur, dur-wait, false, 1)
 	if t := p.eng.tele; t != nil {
 		if wait > 0 {
 			t.ObserveIndexWait(st.dedup.Name(), wait)
 		}
 		core.EmitOp(t, core.EventSite{Parent: shardSpan, Phase: p.phase, Shard: shardIdx}, core.Step{
-			Op: st.dedup, PlanIdx: st.planIdx[0], In: d.Len(), Out: out.Len(),
+			Op: st.dedup, PlanIdx: st.first, In: d.Len(), Out: out.Len(),
 			Duration: dur, Wait: wait, Bytes: d.TotalBytes(), Workers: 1,
 		})
 	}
