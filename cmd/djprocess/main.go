@@ -299,16 +299,8 @@ func runBatch(recipe *config.Recipe, recipeSrc, inputSpec string, showPlan, prob
 
 	tele.End("ok", report.InCount(), out.Len(), nil, func(e *telemetry.Event) {
 		e.PlanOps = report.PlanSize
-		if report.Resumed {
-			e.Note = "(resumed from checkpoint)"
-		}
 		if len(report.OpStats) == 0 {
-			// Zero executed ops: the plan was empty or the whole run was
-			// resumed past its last operator.
 			e.Note = "(empty plan)"
-			if report.Resumed {
-				e.Note = "(fully resumed from checkpoint)"
-			}
 		}
 	})
 	fmt.Print(telemetry.FormatOpTable(core.TelemetryRows(report.OpStats)))

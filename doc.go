@@ -27,7 +27,7 @@
 //   - Batch (internal/core.Executor): the whole dataset is resident and
 //     moves through one operator at a time with parallel workers. Peak
 //     memory is O(corpus). Richest feature set — probes, disk-space
-//     analysis, whole-dataset cache chains, checkpoint resume.
+//     analysis, whole-dataset cache chains.
 //
 //   - Streaming (internal/stream.Engine): the input is partitioned into
 //     shards that flow through the full operator chain in a pipelined
@@ -37,9 +37,11 @@
 //     Shard-local ops stream freely, signature deduplicators run
 //     against a shared index without a barrier, and similarity
 //     deduplicators act as declared barriers (merge, apply, re-shard).
-//     Both backends share the per-op application logic (core.OpRunner),
-//     so kept-sample sets are identical — a contract enforced by the
-//     randomized cross-backend conformance suite (conformance_test.go).
+//     Both backends share the per-op application logic (core.OpRunner)
+//     and the op-chain walk (core.Walk) — and with it cache and
+//     checkpoint resume — so kept-sample sets are identical, a contract
+//     enforced by the randomized cross-backend conformance suite
+//     (conformance_test.go).
 //
 // # Unified ingestion and mixing
 //

@@ -11,9 +11,11 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/format"
 	"repro/internal/llm"
 	_ "repro/internal/ops/all"
+	"repro/internal/stream"
 )
 
 // TestEveryBuiltinRecipeEndToEnd runs each shipped recipe against its hub
@@ -215,7 +217,16 @@ func TestProcessExportReloadRoundTrip(t *testing.T) {
 		t.Fatal("export round trip not lossless")
 	}
 	shardDir := filepath.Join(dir, "shards")
-	if _, err := format.ExportSharded(out, filepath.Join(shardDir, "part"), 16); err != nil {
+	sink, err := stream.NewShardedJSONLSink(filepath.Join(shardDir, "part"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < out.Len(); lo += 16 {
+		if err := sink.Consume(dataset.New(out.Samples[lo:min(lo+16, out.Len())])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	backSharded, err := format.Load(shardDir)

@@ -151,93 +151,28 @@ func TestKeySchemaPinned(t *testing.T) {
 	}
 }
 
-func TestCheckpointSaveResume(t *testing.T) {
+// TestStoreClear: Clear removes every entry and any temp file a failed
+// write left, so a checkpoint directory is empty after a successful run.
+func TestStoreClear(t *testing.T) {
 	dir := t.TempDir()
-	m, err := NewCheckpointManager(dir)
+	s, err := NewStore(dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nothing to resume initially.
-	if _, _, ok, err := m.Resume("recipe-1"); ok || err != nil {
-		t.Fatalf("initial resume = %v, %v", ok, err)
-	}
-	d := sampleDataset(20)
-	if err := m.Save("recipe-1", 3, d); err != nil {
-		t.Fatal(err)
-	}
-	idx, got, ok, err := m.Resume("recipe-1")
-	if err != nil || !ok {
-		t.Fatalf("resume = %v, %v", ok, err)
-	}
-	if idx != 3 || got.Fingerprint() != d.Fingerprint() {
-		t.Fatalf("resume idx=%d", idx)
-	}
-	// A different recipe must not resume from this checkpoint.
-	if _, _, ok, _ := m.Resume("recipe-2"); ok {
-		t.Fatal("foreign recipe resumed")
-	}
-}
-
-func TestCheckpointReplacementCleansOld(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := NewCheckpointManager(dir)
-	d := sampleDataset(5)
-	m.Save("r", 1, d)
-	m.Save("r", 2, d)
-	m.Save("r", 3, d)
-	entries, _ := os.ReadDir(dir)
-	// Exactly one state file plus the manifest should remain.
-	var states int
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "state-") {
-			states++
+	for _, k := range []string{"a", "b"} {
+		if err := s.Put(k, sampleDataset(2)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if states != 1 {
-		t.Fatalf("stale state files left: %d", states)
-	}
-	idx, _, ok, _ := m.Resume("r")
-	if !ok || idx != 3 {
-		t.Fatalf("resume after replacement: idx=%d ok=%v", idx, ok)
-	}
-}
-
-func TestCheckpointClear(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := NewCheckpointManager(dir)
-	m.Save("r", 1, sampleDataset(2))
-	if err := m.Clear(); err != nil {
+	os.WriteFile(filepath.Join(dir, "c.jsonl.tmp"), []byte("partial"), 0o644)
+	if err := s.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, _ := m.Resume("r"); ok {
-		t.Fatal("resume after clear")
+	if _, ok, _ := s.Get("a"); ok {
+		t.Fatal("entry served after Clear")
 	}
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 0 {
-		t.Fatalf("files left after clear: %d", len(entries))
-	}
-}
-
-func TestCheckpointCorruptManifest(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := NewCheckpointManager(dir)
-	os.WriteFile(filepath.Join(dir, "checkpoint.json"), []byte("not json"), 0o644)
-	if _, _, _, err := m.Resume("r"); err == nil {
-		t.Fatal("corrupt manifest should surface an error")
-	}
-}
-
-// TestCheckpointResumeIgnoresForeignPayload: a manifest naming a
-// payload that is not plain JSONL (a compressed state written by an
-// older build) is no recovery point, not a parse error.
-func TestCheckpointResumeIgnoresForeignPayload(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := NewCheckpointManager(dir)
-	manifest := `{"recipe_fingerprint":"r","op_index":1,"data_file":"state-001.gzip"}`
-	os.WriteFile(filepath.Join(dir, "checkpoint.json"), []byte(manifest), 0o644)
-	os.WriteFile(filepath.Join(dir, "state-001.gzip"), []byte("\x1f\x8b not jsonl"), 0o644)
-	if _, _, ok, err := m.Resume("r"); ok || err != nil {
-		t.Fatalf("Resume = %v, %v; want no checkpoint", ok, err)
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("files left after Clear: %d", len(entries))
 	}
 }
 

@@ -1,12 +1,12 @@
-// Package cache implements the space-optimization layer of Sec. 6:
-// per-operator dataset caches keyed by content fingerprints, and
-// crash-recovery checkpoints with the bounded-peak-space cleanup
-// discipline of Appendix A.2. Cache entries and checkpoint states are
-// plain JSONL, the same bytes an export holds.
+// Package cache implements the space-optimization layer of Sec. 6: the
+// per-operator dataset store keyed by op-chain fingerprints. The same
+// Store holds the op cache and, kept to the latest state of each chain
+// with the bounded-peak-space cleanup discipline of Appendix A.2, the
+// crash-recovery checkpoint (see core.Walk). Entries are plain JSONL,
+// the same bytes an export holds.
 package cache
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io/fs"
@@ -129,6 +129,21 @@ func (s *Store) Delete(key string) error {
 	return err
 }
 
+// Clear removes every entry (and any temp file a failed write left):
+// a checkpoint is emptied once its run has succeeded.
+func (s *Store) Clear() error {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			os.Remove(filepath.Join(s.dir, e.Name()))
+		}
+	}
+	return nil
+}
+
 // Keys lists the stored cache keys.
 func (s *Store) Keys() ([]string, error) {
 	entries, err := os.ReadDir(s.dir)
@@ -171,112 +186,4 @@ func SpillDir(workDir string, useCache bool) string {
 		return filepath.Join(workDir, "cache", "spill")
 	}
 	return filepath.Join(workDir, "spill")
-}
-
-// Checkpoint captures a recoverable pipeline state: which recipe was
-// running, how many operators completed, and the dataset at that point.
-type Checkpoint struct {
-	// RecipeFingerprint identifies the recipe configuration; a checkpoint
-	// from a different recipe must not be resumed.
-	RecipeFingerprint string `json:"recipe_fingerprint"`
-	// OpIndex is the number of operators already applied.
-	OpIndex int `json:"op_index"`
-	// DataFile is the dataset payload file, relative to the manager dir.
-	DataFile string `json:"data_file"`
-}
-
-// CheckpointManager persists checkpoints with the cleanup discipline of
-// Appendix A.2: the previous checkpoint is deleted only after the new one
-// is fully written, so peak disk usage stays bounded (≈3S including the
-// original dataset) while a valid recovery point always exists.
-type CheckpointManager struct {
-	dir string
-}
-
-// NewCheckpointManager opens (creating if needed) a checkpoint directory.
-func NewCheckpointManager(dir string) (*CheckpointManager, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &CheckpointManager{dir: dir}, nil
-}
-
-func (m *CheckpointManager) manifestPath() string {
-	return filepath.Join(m.dir, "checkpoint.json")
-}
-
-// Save writes a checkpoint after opIndex operators, replacing any previous
-// checkpoint only once the new payload is durable.
-func (m *CheckpointManager) Save(recipeFP string, opIndex int, d *dataset.Dataset) error {
-	dataFile := fmt.Sprintf("state-%03d%s", opIndex, entrySuffix)
-	if err := writeJSONL(filepath.Join(m.dir, dataFile), d); err != nil {
-		return err
-	}
-	prev, _ := m.load()
-	manifest, err := json.Marshal(Checkpoint{
-		RecipeFingerprint: recipeFP,
-		OpIndex:           opIndex,
-		DataFile:          dataFile,
-	})
-	if err != nil {
-		return err
-	}
-	tmp := m.manifestPath() + ".tmp"
-	if err := os.WriteFile(tmp, manifest, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, m.manifestPath()); err != nil {
-		return err
-	}
-	// Only now is it safe to drop the previous state file.
-	if prev != nil && prev.DataFile != dataFile {
-		os.Remove(filepath.Join(m.dir, prev.DataFile))
-	}
-	return nil
-}
-
-func (m *CheckpointManager) load() (*Checkpoint, error) {
-	raw, err := os.ReadFile(m.manifestPath())
-	if err != nil {
-		return nil, err
-	}
-	var cp Checkpoint
-	if err := json.Unmarshal(raw, &cp); err != nil {
-		return nil, err
-	}
-	return &cp, nil
-}
-
-// Resume returns the latest checkpoint for the given recipe fingerprint,
-// or ok=false when none is applicable.
-func (m *CheckpointManager) Resume(recipeFP string) (opIndex int, d *dataset.Dataset, ok bool, err error) {
-	cp, err := m.load()
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil, false, nil
-		}
-		return 0, nil, false, err
-	}
-	// A payload that is not plain JSONL (a compressed state from an
-	// older build) is no recovery point: re-run from the start.
-	if cp.RecipeFingerprint != recipeFP || !strings.HasSuffix(cp.DataFile, entrySuffix) {
-		return 0, nil, false, nil
-	}
-	ds, err := readJSONL(filepath.Join(m.dir, cp.DataFile))
-	if err != nil {
-		return 0, nil, false, fmt.Errorf("cache: checkpoint payload: %w", err)
-	}
-	return cp.OpIndex, ds, true, nil
-}
-
-// Clear removes all checkpoint state (called after a successful run).
-func (m *CheckpointManager) Clear() error {
-	entries, err := os.ReadDir(m.dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		os.Remove(filepath.Join(m.dir, e.Name()))
-	}
-	return nil
 }

@@ -2,13 +2,13 @@
 // runs a recipe's operator list over a dataset with parallel workers,
 // executing the physical plan produced by the unified planner
 // (internal/plan) — which owns the Sec. 6 optimizations, operator fusion
-// and measured-cost reordering (Figure 6) — plus the cache and
-// checkpoint machinery of Sec. 4.1.1 and the lineage tracer of Sec. 4.2.
+// and measured-cost reordering (Figure 6) — plus the op-chain cache of
+// Sec. 4.1.1, whose keep-latest form is the crash-recovery checkpoint
+// (see Walk and OpenStore), and the lineage tracer of Sec. 4.2.
 package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"time"
 
@@ -28,7 +28,6 @@ type OpStat struct {
 	OutCount int
 	Duration time.Duration
 	CacheHit bool
-	Resumed  bool
 	// PlanIndex is the op's position in the physical plan.
 	PlanIndex int
 	// Workers is the parallelism Duration was measured under: the batch
@@ -48,13 +47,11 @@ type OpStat struct {
 type Report struct {
 	OpStats  []OpStat
 	Total    time.Duration
-	Resumed  bool
 	PlanSize int
 }
 
 // InCount returns the sample count entering the first executed operator
-// (0 when every op was skipped, e.g. a fully cache-resumed run or an
-// empty plan).
+// (0 for an empty plan).
 func (r *Report) InCount() int {
 	if len(r.OpStats) == 0 {
 		return 0
@@ -70,8 +67,10 @@ type Executor struct {
 	plan   *plan.Plan
 	runner *OpRunner
 	store  Store
-	ckpt   *cache.CheckpointManager
-	tele   *telemetry.Run
+	// checkpoint is set when store is a keep-latest checkpoint (see
+	// OpenStore); a successful run empties it.
+	checkpoint *cache.Store
+	tele       *telemetry.Run
 }
 
 // NewExecutor validates the recipe and builds its physical plan through
@@ -90,22 +89,37 @@ func NewExecutor(r *config.Recipe) (*Executor, error) {
 		plan:   p,
 		runner: NewOpRunner(p.Built(), r.Process, tracer),
 	}
-	if r.UseCache {
-		store, err := cache.NewStore(filepath.Join(r.WorkDir, "cache"), "")
-		if err != nil {
-			return nil, err
-		}
+	store, keepLatest, err := OpenStore(r, "cache")
+	if err != nil {
+		return nil, err
+	}
+	if store != nil {
 		e.store = store
 	}
-	if r.UseCheckpoint {
-		ckpt, err := cache.NewCheckpointManager(filepath.Join(r.WorkDir, "checkpoint"))
-		if err != nil {
-			return nil, err
-		}
-		e.ckpt = ckpt
+	if keepLatest {
+		e.checkpoint = store
 	}
 	ConfigureSpill(p, r)
 	return e, nil
+}
+
+// OpenStore opens the store a recipe's walks use. With use_cache it is
+// the op cache at <work_dir>/<cacheDir>, which keeps every state. With
+// only use_checkpoint it is <work_dir>/checkpoint, kept to the latest
+// state of each chain (keepLatest): Sec. 4.1.1's rule that with the
+// cache off only the latest state is kept and older ones are cleaned up.
+// Checkpoint states never go in the cache directory, so such a run
+// neither reads nor prunes cache entries. With both off there is no
+// store (nil).
+func OpenStore(r *config.Recipe, cacheDir string) (s *cache.Store, keepLatest bool, err error) {
+	switch {
+	case r.UseCache:
+		s, err = cache.NewStore(filepath.Join(r.WorkDir, cacheDir), "")
+	case r.UseCheckpoint:
+		s, err = cache.NewStore(filepath.Join(r.WorkDir, "checkpoint"), "")
+		keepLatest = true
+	}
+	return s, keepLatest, err
 }
 
 // ConfigureSpill installs the planner's spill budgets on the plan's
@@ -175,19 +189,6 @@ func EmitSpill(t *telemetry.Run, op ops.OP, planIdx int) {
 	})
 }
 
-// planFingerprint identifies this plan + input dataset combination for
-// checkpoint compatibility. A checkpoint stores a plan index, so the
-// node identities are hashed in plan order: a profile sidecar that
-// reorders a filter group between a crash and its resume changes it.
-func (e *Executor) planFingerprint(d *dataset.Dataset) string {
-	h := fnv.New64a()
-	fmt.Fprint(h, d.Fingerprint(), "\x00")
-	for i := range e.plan.Nodes {
-		fmt.Fprint(h, e.runner.OpIdentity(e.plan.Nodes[i].Op), "\x00")
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // Run executes the plan over d and returns the processed dataset. The
 // input dataset is modified in place by Mappers (clone first if the
 // original must survive). After a successful run the measured per-op
@@ -195,8 +196,7 @@ func (e *Executor) planFingerprint(d *dataset.Dataset) string {
 // plans from them.
 func (e *Executor) Run(d *dataset.Dataset) (*dataset.Dataset, *Report, error) {
 	start := time.Now()
-	nodes := e.plan.Nodes
-	report := &Report{PlanSize: len(nodes)}
+	report := &Report{PlanSize: len(e.plan.Nodes)}
 
 	if e.tele != nil {
 		e.tele.SetInputTotal(d.Len())
@@ -204,35 +204,17 @@ func (e *Executor) Run(d *dataset.Dataset) (*dataset.Dataset, *Report, error) {
 		e.tele.Emit(PlanEvent(e.plan))
 	}
 
-	planFP := ""
-	startIdx := 0
-	if e.ckpt != nil {
-		planFP = e.planFingerprint(d)
-		if idx, saved, ok, err := e.ckpt.Resume(planFP); err != nil {
-			return nil, nil, err
-		} else if ok {
-			d = saved
-			startIdx = idx
-			report.Resumed = true
-		}
-	}
-
 	// key_0 derives from the dataset content alone, so editing the recipe
 	// tail reuses the whole cached prefix. (Reordering the plan — e.g. the
 	// first run after profiles land — changes the chain and invalidates
 	// it; the cache refills under the new, faster order.)
-	w := Walk{Runner: e.runner, Ops: e.plan.Ops()[startIdx:], First: startIdx, NP: e.recipe.NP}
+	w := Walk{Runner: e.runner, Ops: e.plan.Ops(), NP: e.recipe.NP, KeepLatest: e.checkpoint != nil}
 	key := ""
 	if e.store != nil {
 		w.Store = e.store
 		key = cache.Key(d.Fingerprint(), "dataset", nil)
-		for i := 0; i < startIdx; i++ {
-			key = e.runner.OpCacheKey(key, nodes[i].Op)
-		}
 	}
-	next := startIdx // d is the input of plan op next
 	w.OnStep = func(s Step) error {
-		d, next = s.Data, s.PlanIdx+1
 		stat := OpStat{
 			Name: s.Op.Name(), InCount: s.In, OutCount: s.Out,
 			Duration: s.Duration, CacheHit: s.CacheHit, PlanIndex: s.PlanIdx,
@@ -242,11 +224,6 @@ func (e *Executor) Run(d *dataset.Dataset) (*dataset.Dataset, *Report, error) {
 			if ff, ok := s.Op.(*plan.FusedFilter); ok {
 				stat.Members = ff.TakeMemberStats()
 			}
-			if e.ckpt != nil {
-				if err := e.ckpt.Save(planFP, next, d); err != nil {
-					return err
-				}
-			}
 		}
 		report.OpStats = append(report.OpStats, stat)
 		EmitOp(e.tele, EventSite{Parent: e.tele.RunSpan()}, s)
@@ -255,19 +232,16 @@ func (e *Executor) Run(d *dataset.Dataset) (*dataset.Dataset, *Report, error) {
 		}
 		return nil
 	}
-	out, err := w.Run(d, key)
+	d, err := w.Run(d, key)
 	if err != nil {
-		// Preserve a recovery point before surfacing the failure, as
-		// described in Sec. 4.1.1 (states are saved when errors occur).
-		if e.ckpt != nil {
-			_ = e.ckpt.Save(planFP, next, d)
-		}
+		// The store keeps the last committed op output as the recovery
+		// point (Sec. 4.1.1: states are saved when errors occur).
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	d = out
-
-	if e.ckpt != nil {
-		_ = e.ckpt.Clear()
+	if e.checkpoint != nil {
+		// Best-effort: a state left behind is still a valid resume point
+		// of its chain.
+		_ = e.checkpoint.Clear()
 	}
 	report.Total = time.Since(start)
 

@@ -324,8 +324,8 @@ process:
 	}
 
 	// Same recipe, same input, transient condition gone: the second run
-	// resumes from the checkpoint written at the failure instead of
-	// starting over.
+	// resumes from the mapper's output, the latest state the failed run
+	// committed, instead of starting over.
 	e2, err := NewExecutor(r)
 	if err != nil {
 		t.Fatal(err)
@@ -334,13 +334,16 @@ process:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Resumed {
-		t.Fatal("second run should resume from checkpoint")
+	// The completed mapper is a cache-hit row; only the remaining ops
+	// execute.
+	executed := 0
+	for _, st := range rep.OpStats {
+		if !st.CacheHit {
+			executed++
+		}
 	}
-	// Resume skipped the already-completed mapper: only the remaining ops
-	// appear in the report.
-	if len(rep.OpStats) != 2 {
-		t.Fatalf("resumed run executed %d ops, want 2", len(rep.OpStats))
+	if executed != 2 || len(rep.OpStats) != 3 || !rep.OpStats[0].CacheHit || rep.OpStats[0].Name != "whitespace_normalization_mapper" {
+		t.Fatalf("resumed run: %d executed ops, stats %+v; want the mapper a hit and 2 executed", executed, rep.OpStats)
 	}
 	if out.Len() != 6 {
 		t.Fatalf("survivors = %d", out.Len())
@@ -348,39 +351,71 @@ process:
 }
 
 func TestExecutorCheckpointForeignRecipeIgnored(t *testing.T) {
-	// A checkpoint from one recipe must not be resumed by another.
+	// A checkpoint holds op-chain states, and a chain key hashes the
+	// whole prefix: another recipe that shares the failed recipe's first
+	// op (same name and params) may resume that op's output, and must end
+	// with the export it would produce from scratch; a recipe whose first
+	// op's params differ shares no key and resumes nothing.
 	yaml := `
 project_name: ckpt-a
 use_cache: false
 use_checkpoint: true
 op_fusion: false
 process:
-  - whitespace_normalization_mapper:
+  - remove_long_words_mapper:
+      max_len: 64
   - fail_once_filter:
 `
-	r := testRecipe(t, yaml)
 	ds := dataset.FromTexts([]string{"one two three", "four five six"})
-	failOnceArmed.Store(true)
-	e, _ := NewExecutor(r)
-	if _, _, err := e.Run(ds.Clone()); err == nil {
-		t.Fatal("expected failure")
+	fail := func(r *config.Recipe) {
+		t.Helper()
+		failOnceArmed.Store(true)
+		e, _ := NewExecutor(r)
+		if _, _, err := e.Run(ds.Clone()); err == nil {
+			t.Fatal("expected failure")
+		}
+	}
+	run := func(r *config.Recipe) (*dataset.Dataset, *Report) {
+		t.Helper()
+		e, err := NewExecutor(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, rep, err := e.Run(ds.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, rep
+	}
+	hits := func(rep *Report) int {
+		n := 0
+		for _, st := range rep.OpStats {
+			if st.CacheHit {
+				n++
+			}
+		}
+		return n
+	}
+	r := testRecipe(t, yaml)
+
+	other := strings.Replace(yaml, "ckpt-a", "ckpt-b", 1) + "  - lowercase_mapper:\n"
+	want, _ := run(testRecipe(t, strings.Replace(other, "use_checkpoint: true", "use_checkpoint: false", 1)))
+	fail(r)
+	r2 := testRecipe(t, other)
+	r2.WorkDir = r.WorkDir
+	out, rep := run(r2)
+	if out.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("resumed export has %d samples, uncheckpointed %d", out.Len(), want.Len())
+	}
+	if hits(rep) != 1 || !rep.OpStats[0].CacheHit {
+		t.Fatalf("shared first op not resumed: %+v", rep.OpStats)
 	}
 
-	r2 := testRecipe(t, strings.Replace(yaml, "ckpt-a", "ckpt-b", 1)+"  - lowercase_mapper:\n")
-	r2.WorkDir = r.WorkDir
-	e2, err := NewExecutor(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, rep, err := e2.Run(ds.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Resumed {
-		t.Fatal("foreign recipe resumed another recipe's checkpoint")
-	}
-	if out.Len() != 2 {
-		t.Fatalf("survivors = %d", out.Len())
+	fail(r)
+	r3 := testRecipe(t, strings.Replace(other, "max_len: 64", "max_len: 63", 1))
+	r3.WorkDir = r.WorkDir
+	if _, rep := run(r3); hits(rep) != 0 {
+		t.Fatalf("a recipe whose first op's params differ resumed %d ops", hits(rep))
 	}
 }
 

@@ -12,20 +12,22 @@ import (
 	"repro/internal/trace"
 )
 
-// Store is the op-chain cache a Walk reads and writes (*cache.Store).
+// Store is the op-chain store a Walk reads and writes (*cache.Store).
 type Store interface {
 	Get(key string) (*dataset.Dataset, bool, error)
 	Put(key string, d *dataset.Dataset) error
+	Delete(key string) error
 }
 
-// Step is one op of a walk, served from the cache or executed.
+// Step is one op of a walk, served from the store or executed.
 type Step struct {
 	Op       ops.OP
 	PlanIdx  int
 	In, Out  int
 	CacheHit bool
-	// Duration is the op alone: the apply (not the cache write after it),
-	// or the cache read for a hit (0 for the later ops of a stage-final hit).
+	// Duration is the op alone: the apply (not the store write after it),
+	// or the store read for a hit (0 for the ops a deeper hit skipped past
+	// after the first).
 	Duration time.Duration
 	// Wait is the part of Duration spent waiting for a turn at a shared
 	// signature index: wall time, not work.
@@ -40,15 +42,21 @@ type Step struct {
 
 // Walk is the op-chain cache of Sec. 4.1.1, the one loop behind the batch
 // executor, the streaming engine's shard-local stages (in-process and
-// dispatched) and djworker: op i's output is cached under
-// key_i = H(key_{i-1}, op_i identity), and a run resumes from the longest
-// cached prefix.
+// dispatched) and djworker: op i's output is stored under
+// key_i = H(key_{i-1}, op_i identity), and a run resumes from the deepest
+// stored state of its chain. It is also the recovery mechanism: with
+// KeepLatest the store is a checkpoint that holds only the chain's latest
+// state.
 type Walk struct {
 	Runner *OpRunner
 	Ops    []ops.OP // a contiguous run of plan ops
 	First  int      // the plan index of Ops[0]
 	NP     int      // workers of a local execution
 	Store  Store    // nil = no cache
+	// KeepLatest makes Store a checkpoint (use_checkpoint without
+	// use_cache): once a Put commits, the state it supersedes in this
+	// chain is deleted, so at most one state per chain is on disk.
+	KeepLatest bool
 	// Remote, when set, executes plan ops [from, to) elsewhere and
 	// returns the result, the per-op flows and the fleet lane; on
 	// dist.ErrNoWorkers the walk executes them locally instead.
@@ -58,48 +66,51 @@ type Walk struct {
 }
 
 // Run walks the ops over d from chain key key (the key folded up to
-// Ops[0]). It probes the per-op keys until the first miss, then the
-// final op's key once (a dispatched walk stores only that one: its
-// intermediate datasets never come back), and executes the rest —
-// remotely with one Put of the result, or locally with a Put per op.
+// Ops[0]). It probes the per-op keys front to back until the first miss,
+// then the remaining keys deepest-first: any hit is valid, because a
+// chain key hashes the whole prefix. (A dispatched walk stores only its
+// final key, since its intermediate datasets never come back; a
+// checkpoint holds only the latest.) It executes the rest — remotely
+// with one Put of the result, or locally with a Put per op.
 func (w *Walk) Run(d *dataset.Dataset, key string) (*dataset.Dataset, error) {
 	n, k := len(w.Ops), 0
 	keys := make([]string, n)
+	latest := "" // the chain's deepest stored state
+	// probe serves ops k..j from keys[j] if it is stored. The ops a deeper
+	// hit skips past have no counts of their own: the first reports the
+	// known entry count, the rest the exit count.
+	probe := func(j int) (bool, error) {
+		start := time.Now()
+		cached, ok, err := w.Store.Get(keys[j])
+		if !ok || err != nil {
+			return false, err
+		}
+		in, dur := d.Len(), time.Since(start)
+		for ; k <= j; k, in, dur = k+1, cached.Len(), 0 {
+			if err := w.hit(k, in, cached, dur); err != nil {
+				return false, err
+			}
+		}
+		d, latest = cached, keys[j]
+		return true, nil
+	}
 	if w.Store != nil {
 		for i, op := range w.Ops {
 			key = w.Runner.OpCacheKey(key, op)
 			keys[i] = key
 		}
-		for ; k < n; k++ {
-			start := time.Now()
-			cached, ok, err := w.Store.Get(keys[k])
-			if err != nil {
+		for k < n {
+			if ok, err := probe(k); err != nil {
 				return nil, err
-			}
-			if !ok {
+			} else if !ok {
 				break
 			}
-			if err := w.hit(k, d.Len(), cached, time.Since(start)); err != nil {
-				return nil, err
-			}
-			d = cached
 		}
-		if k < n-1 {
-			start := time.Now()
-			cached, ok, err := w.Store.Get(keys[n-1])
-			if err != nil {
+		for j := n - 1; j > k; j-- {
+			if ok, err := probe(j); err != nil {
 				return nil, err
-			}
-			if ok {
-				// Intermediate counts are unknown: report the known entry
-				// and exit counts.
-				in, dur := d.Len(), time.Since(start)
-				for ; k < n; k, in, dur = k+1, cached.Len(), 0 {
-					if err := w.hit(k, in, cached, dur); err != nil {
-						return nil, err
-					}
-				}
-				return cached, nil
+			} else if ok {
+				break
 			}
 		}
 	}
@@ -115,7 +126,8 @@ func (w *Walk) Run(d *dataset.Dataset, key string) (*dataset.Dataset, error) {
 					return nil, err
 				}
 			}
-			return out, w.put(keys[n-1], out)
+			_, err = w.put(keys[n-1], latest, out)
+			return out, err
 		}
 		if !errors.Is(err, dist.ErrNoWorkers) {
 			return nil, err
@@ -131,7 +143,7 @@ func (w *Walk) Run(d *dataset.Dataset, key string) (*dataset.Dataset, error) {
 			return nil, fmt.Errorf("op %d (%s): %w", w.First+k, op.Name(), err)
 		}
 		d = out
-		if err := w.put(keys[k], d); err != nil {
+		if latest, err = w.put(keys[k], latest, d); err != nil {
 			return nil, err
 		}
 		if err := w.step(Step{Op: op, PlanIdx: w.First + k, In: in, Out: d.Len(), Duration: dur,
@@ -142,11 +154,23 @@ func (w *Walk) Run(d *dataset.Dataset, key string) (*dataset.Dataset, error) {
 	return d, nil
 }
 
-func (w *Walk) put(key string, d *dataset.Dataset) error {
+// put stores d under key and returns the chain's new latest state. With
+// KeepLatest it then deletes prev, the state key supersedes: the Put's
+// rename has committed the new one, so a valid recovery point always
+// exists (the Appendix A.2 discipline).
+func (w *Walk) put(key, prev string, d *dataset.Dataset) (string, error) {
 	if w.Store == nil {
-		return nil
+		return "", nil
 	}
-	return w.Store.Put(key, d)
+	if err := w.Store.Put(key, d); err != nil {
+		return prev, err
+	}
+	if w.KeepLatest && prev != "" {
+		// Best-effort: a state left behind is still a valid resume point
+		// of its chain; it costs only disk.
+		_ = w.Store.Delete(prev)
+	}
+	return key, nil
 }
 
 // hit reports op k as served from the cache with result d.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,11 +13,12 @@ import (
 )
 
 // memStore is an in-memory Store whose Put sleeps putDelay: the stand-in
-// for a slow disk.
+// for a slow disk. It logs every Put and Delete.
 type memStore struct {
 	mu       sync.Mutex
 	m        map[string]*dataset.Dataset
 	puts     []string
+	deletes  []string
 	putDelay time.Duration
 }
 
@@ -38,6 +40,14 @@ func (s *memStore) Put(key string, d *dataset.Dataset) error {
 	defer s.mu.Unlock()
 	s.m[key] = d.Clone()
 	s.puts = append(s.puts, key)
+	return nil
+}
+
+func (s *memStore) Delete(key string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.m, key)
+	s.deletes = append(s.deletes, key)
 	return nil
 }
 
@@ -156,6 +166,73 @@ func TestWalkResume(t *testing.T) {
 	}
 	if len(final.puts) != 0 {
 		t.Errorf("a fully resumed walk wrote %d entries", len(final.puts))
+	}
+}
+
+// TestWalkResumesDeepestState: after the front-to-back probe misses, the
+// remaining keys are probed deepest-first. A store holding only a middle
+// state (what a checkpoint leaves) resumes there: the ops up to it are
+// hits under the stage-final count rule, and only the ops after it run.
+func TestWalkResumesDeepestState(t *testing.T) {
+	store := newMemStore()
+	w, cold := newWalk(t, store)
+	want, err := w.Run(walkTexts(), "k0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := newMemStore()
+	mid.m[store.puts[1]] = store.m[store.puts[1]]
+	w2, steps := newWalk(t, mid)
+	got, err := w2.Run(walkTexts(), "k0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint() != want.Fingerprint() || len(*steps) != len(w2.Ops) {
+		t.Fatalf("mid-state resume: %d steps", len(*steps))
+	}
+	entry, exit := walkTexts().Len(), (*cold)[1].Out
+	for i, s := range *steps {
+		switch {
+		case i == 0 && (!s.CacheHit || s.In != entry || s.Out != exit):
+			t.Errorf("skipped step 0 = %+v, want a hit %d -> %d", s, entry, exit)
+		case i == 1 && (!s.CacheHit || s.In != exit || s.Out != exit || s.Duration != 0):
+			t.Errorf("resumed step 1 = %+v, want a hit %d -> %d with no duration", s, exit, exit)
+		case i == 2 && (s.CacheHit || s.In != (*cold)[2].In || s.Out != (*cold)[2].Out):
+			t.Errorf("step 2 = %+v, want the cold execution %+v", s, (*cold)[2])
+		}
+	}
+	if len(mid.puts) != 1 || mid.puts[0] != store.puts[2] {
+		t.Errorf("mid-state resume wrote %v, want only the last op's state", mid.puts)
+	}
+}
+
+// TestWalkKeepLatest: a keep-latest walk deletes each state once the
+// next one has committed, so one state of the chain is left: the last.
+// A walk resumed from a state deletes that state when it moves past it.
+func TestWalkKeepLatest(t *testing.T) {
+	store := newMemStore()
+	w, _ := newWalk(t, store)
+	w.KeepLatest = true
+	if _, err := w.Run(walkTexts(), "k0"); err != nil {
+		t.Fatal(err)
+	}
+	last := store.puts[len(store.puts)-1]
+	if len(store.m) != 1 || store.m[last] == nil {
+		t.Fatalf("keep-latest walk left %d states, want only the last", len(store.m))
+	}
+	if want := store.puts[:len(store.puts)-1]; fmt.Sprint(store.deletes) != fmt.Sprint(want) {
+		t.Errorf("deleted %v, want %v in commit order", store.deletes, want)
+	}
+
+	mid := newMemStore()
+	mid.m[store.puts[0]] = store.m[last] // any dataset: only the keys matter here
+	w2, _ := newWalk(t, mid)
+	w2.KeepLatest = true
+	if _, err := w2.Run(walkTexts(), "k0"); err != nil {
+		t.Fatal(err)
+	}
+	if len(mid.m) != 1 || mid.m[last] == nil || mid.deletes[0] != store.puts[0] {
+		t.Fatalf("resumed keep-latest walk: states %d, deletes %v", len(mid.m), mid.deletes)
 	}
 }
 

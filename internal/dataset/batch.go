@@ -6,46 +6,6 @@ import (
 	"repro/internal/sample"
 )
 
-// Batch is the unit of per-sample work handed between pipeline layers: a
-// contiguous chunk of samples. Moving batches instead of single samples
-// amortizes channel sends, scheduling, closure calls and observer-hook
-// atomics across the chunk; the streaming engine's shards and the batch
-// executor's worker chunks are both batches.
-type Batch struct {
-	Samples []*sample.Sample
-}
-
-// batchPool recycles batch backing arrays (the slice headers and their
-// element storage, not the samples themselves).
-var batchPool = sync.Pool{New: func() any { return &Batch{} }}
-
-// GetBatch returns a pooled batch with at least the given capacity and
-// zero length. Recycle through PutBatch only when the batch's backing
-// array is exclusively owned — a batch aliasing a larger dataset (e.g.
-// a re-shard slice of a merged array) must never be pooled, or the pool
-// would hand out overlapping storage.
-func GetBatch(capacity int) *Batch {
-	b := batchPool.Get().(*Batch)
-	if cap(b.Samples) < capacity {
-		b.Samples = make([]*sample.Sample, 0, capacity)
-	} else {
-		b.Samples = b.Samples[:0]
-	}
-	return b
-}
-
-// PutBatch returns b's backing array to the pool. The caller must hold
-// no other references to b or its slice; the samples themselves are not
-// touched.
-func PutBatch(b *Batch) {
-	s := b.Samples[:cap(b.Samples)]
-	for i := range s {
-		s[i] = nil // don't pin samples alive through the pool
-	}
-	b.Samples = s[:0]
-	batchPool.Put(b)
-}
-
 // MapBatches applies fn to contiguous batches of samples using np
 // parallel workers; every sample appears in exactly one batch, in order
 // within the batch. The first error aborts outstanding work and is

@@ -8,25 +8,6 @@ import (
 	"repro/internal/sample"
 )
 
-func TestBatchPoolRoundTrip(t *testing.T) {
-	b := GetBatch(8)
-	if len(b.Samples) != 0 || cap(b.Samples) < 8 {
-		t.Fatalf("GetBatch: len %d cap %d", len(b.Samples), cap(b.Samples))
-	}
-	s := sample.New("x")
-	b.Samples = append(b.Samples, s)
-	PutBatch(b)
-	b2 := GetBatch(4)
-	if len(b2.Samples) != 0 {
-		t.Fatalf("pooled batch not reset: len %d", len(b2.Samples))
-	}
-	for _, e := range b2.Samples[:cap(b2.Samples)] {
-		if e != nil {
-			t.Fatal("PutBatch must clear elements so samples are not pinned")
-		}
-	}
-}
-
 func TestMapBatchesCoversEverySampleOnce(t *testing.T) {
 	for _, np := range []int{1, 4} {
 		d := FromTexts(make([]string, 537))

@@ -338,13 +338,3 @@ func (d *Dataset) SaveJSONL(path string) error {
 	}
 	return f.Close()
 }
-
-// LoadJSONL reads a dataset from path.
-func LoadJSONL(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSONL(f)
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -212,7 +213,12 @@ func TestSaveLoadJSONL(t *testing.T) {
 	if err := d.SaveJSONL(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadJSONL(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := ReadJSONL(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,35 +178,3 @@ func Export(d *dataset.Dataset, path string) error {
 	}
 	return fmt.Errorf("format: unsupported export type for %q (want .jsonl, .json, or .txt — note .txt drops parts/meta/stats)", path)
 }
-
-// ExportSharded writes the dataset as numbered JSONL shard files
-// (path-00000-of-NNNNN.jsonl), each holding at most shardSize samples —
-// the multi-file delivery format large processed corpora ship in. It
-// returns the written file paths.
-func ExportSharded(d *dataset.Dataset, pathPrefix string, shardSize int) ([]string, error) {
-	if shardSize <= 0 {
-		return nil, fmt.Errorf("format: shard size must be positive")
-	}
-	if err := os.MkdirAll(filepath.Dir(pathPrefix), 0o755); err != nil {
-		return nil, err
-	}
-	nShards := (d.Len() + shardSize - 1) / shardSize
-	if nShards == 0 {
-		nShards = 1
-	}
-	var paths []string
-	for i := 0; i < nShards; i++ {
-		lo := i * shardSize
-		hi := lo + shardSize
-		if hi > d.Len() {
-			hi = d.Len()
-		}
-		shard := dataset.New(d.Samples[lo:hi])
-		path := fmt.Sprintf("%s-%05d-of-%05d.jsonl", pathPrefix, i, nShards)
-		if err := shard.SaveJSONL(path); err != nil {
-			return nil, err
-		}
-		paths = append(paths, path)
-	}
-	return paths, nil
-}

@@ -1,10 +1,13 @@
 package format
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 func write(t *testing.T, dir, name, content string) string {
@@ -230,7 +233,7 @@ func TestLoadJSONLBadLine(t *testing.T) {
 func TestExportSharded(t *testing.T) {
 	dir := t.TempDir()
 	src, _ := Load("hub:wiki?docs=25&seed=2")
-	paths, err := ExportSharded(src, filepath.Join(dir, "out"), 10)
+	paths, err := exportSharded(src, filepath.Join(dir, "out"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +251,7 @@ func TestExportSharded(t *testing.T) {
 	if back.Fingerprint() != src.Fingerprint() {
 		t.Fatal("sharded round trip not lossless")
 	}
-	if _, err := ExportSharded(src, filepath.Join(dir, "bad"), 0); err == nil {
+	if _, err := exportSharded(src, filepath.Join(dir, "bad"), 0); err == nil {
 		t.Fatal("shard size 0 must error")
 	}
 }
@@ -258,7 +261,7 @@ func TestExportShardedNamingAndBoundaries(t *testing.T) {
 	src, _ := Load("hub:wiki?docs=21&seed=4")
 
 	// Exact -NNNNN-of-MMMMM naming, in order.
-	paths, err := ExportSharded(src, filepath.Join(dir, "corpus"), 10)
+	paths, err := exportSharded(src, filepath.Join(dir, "corpus"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +300,7 @@ func TestExportShardedNamingAndBoundaries(t *testing.T) {
 	}
 
 	// A shard size larger than the dataset yields a single full shard.
-	paths, err = ExportSharded(src, filepath.Join(dir, "one"), 1000)
+	paths, err = exportSharded(src, filepath.Join(dir, "one"), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +311,7 @@ func TestExportShardedNamingAndBoundaries(t *testing.T) {
 	// An empty dataset still writes one (empty) shard file.
 	empty, _ := Load("hub:wiki?docs=1&seed=4")
 	empty.Samples = nil
-	paths, err = ExportSharded(empty, filepath.Join(dir, "empty"), 10)
+	paths, err = exportSharded(empty, filepath.Join(dir, "empty"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +323,39 @@ func TestExportShardedNamingAndBoundaries(t *testing.T) {
 	}
 
 	// Negative shard sizes error like zero.
-	if _, err := ExportSharded(src, filepath.Join(dir, "bad"), -3); err == nil {
+	if _, err := exportSharded(src, filepath.Join(dir, "bad"), -3); err == nil {
 		t.Fatal("negative shard size must error")
 	}
+}
+
+// exportSharded writes the dataset as numbered JSONL shard files
+// (path-00000-of-NNNNN.jsonl), each holding at most shardSize samples —
+// the multi-file layout a directory load reassembles. It returns the
+// written file paths.
+func exportSharded(d *dataset.Dataset, pathPrefix string, shardSize int) ([]string, error) {
+	if shardSize <= 0 {
+		return nil, fmt.Errorf("format: shard size must be positive")
+	}
+	if err := os.MkdirAll(filepath.Dir(pathPrefix), 0o755); err != nil {
+		return nil, err
+	}
+	nShards := (d.Len() + shardSize - 1) / shardSize
+	if nShards == 0 {
+		nShards = 1
+	}
+	var paths []string
+	for i := 0; i < nShards; i++ {
+		lo := i * shardSize
+		hi := lo + shardSize
+		if hi > d.Len() {
+			hi = d.Len()
+		}
+		shard := dataset.New(d.Samples[lo:hi])
+		path := fmt.Sprintf("%s-%05d-of-%05d.jsonl", pathPrefix, i, nShards)
+		if err := shard.SaveJSONL(path); err != nil {
+			return nil, err
+		}
+		paths = append(paths, path)
+	}
+	return paths, nil
 }

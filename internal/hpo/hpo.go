@@ -1,8 +1,8 @@
 // Package hpo implements the hyper-parameter-optimization layer of
-// Sec. 4.1: search-space definition, random and grid search, a simplified
-// TPE-style Bayesian optimizer, and Hyperband early stopping — the W&B
-// Sweeps substitute used to tune data-recipe hyper-parameters such as
-// mixture weights and filter thresholds.
+// Sec. 4.1: search-space definition, a simplified TPE-style Bayesian
+// optimizer and parameter-importance analysis — the W&B Sweeps
+// substitute used to tune data-recipe hyper-parameters such as mixture
+// weights and filter thresholds.
 package hpo
 
 import (
@@ -52,10 +52,6 @@ type Trial struct {
 // Objective maps a parameter assignment to the value being MAXIMIZED.
 type Objective func(params map[string]float64) float64
 
-// BudgetObjective additionally receives a resource budget (for
-// Hyperband): evaluations at small budgets are cheap and noisy.
-type BudgetObjective func(params map[string]float64, budget int) float64
-
 // Best returns the highest-value trial (zero Trial for empty input).
 func Best(trials []Trial) Trial {
 	var best Trial
@@ -67,49 +63,6 @@ func Best(trials []Trial) Trial {
 		}
 	}
 	return best
-}
-
-// RandomSearch evaluates n uniform draws.
-func RandomSearch(space Space, obj Objective, n int, seed int64) []Trial {
-	rng := rand.New(rand.NewSource(seed))
-	trials := make([]Trial, 0, n)
-	for i := 0; i < n; i++ {
-		params := map[string]float64{}
-		for _, p := range space {
-			params[p.Name] = p.sample(rng)
-		}
-		trials = append(trials, Trial{Params: params, Value: obj(params)})
-	}
-	return trials
-}
-
-// GridSearch evaluates a full factorial grid with pointsPerDim points per
-// dimension.
-func GridSearch(space Space, obj Objective, pointsPerDim int) []Trial {
-	if pointsPerDim < 2 {
-		pointsPerDim = 2
-	}
-	var trials []Trial
-	assign := make([]float64, len(space))
-	var rec func(dim int)
-	rec = func(dim int) {
-		if dim == len(space) {
-			params := map[string]float64{}
-			for i, p := range space {
-				params[p.Name] = assign[i]
-			}
-			trials = append(trials, Trial{Params: params, Value: obj(params)})
-			return
-		}
-		p := space[dim]
-		for i := 0; i < pointsPerDim; i++ {
-			v := p.Min + float64(i)*(p.Max-p.Min)/float64(pointsPerDim-1)
-			assign[dim] = p.clampRound(v)
-			rec(dim + 1)
-		}
-	}
-	rec(0)
-	return trials
 }
 
 // TPE runs a simplified Tree-structured Parzen Estimator: after nStartup
@@ -181,56 +134,6 @@ func kernelDensity(v float64, trials []Trial, p Param, width float64) float64 {
 		d += math.Exp(-0.5 * z * z)
 	}
 	return d / float64(len(trials))
-}
-
-// Hyperband runs the bandit-based early-stopping scheme of Li et al.:
-// brackets of successive halving trade off the number of configurations
-// against the budget each receives. maxBudget is the full-fidelity
-// resource; eta the halving factor (3 by convention).
-func Hyperband(space Space, obj BudgetObjective, maxBudget int, eta float64, seed int64) []Trial {
-	if eta < 2 {
-		eta = 3
-	}
-	rng := rand.New(rand.NewSource(seed))
-	sMax := int(math.Floor(math.Log(float64(maxBudget)) / math.Log(eta)))
-	var all []Trial
-	for s := sMax; s >= 0; s-- {
-		n := int(math.Ceil(float64(sMax+1) / float64(s+1) * math.Pow(eta, float64(s))))
-		b := float64(maxBudget) * math.Pow(eta, -float64(s))
-		// Successive halving on n configs starting at budget b.
-		type cfg struct {
-			params map[string]float64
-			value  float64
-		}
-		configs := make([]cfg, n)
-		for i := range configs {
-			params := map[string]float64{}
-			for _, p := range space {
-				params[p.Name] = p.sample(rng)
-			}
-			configs[i] = cfg{params: params}
-		}
-		for round := 0; round <= s; round++ {
-			budget := int(math.Max(1, b*math.Pow(eta, float64(round))))
-			for i := range configs {
-				configs[i].value = obj(configs[i].params, budget)
-				if budget >= maxBudget {
-					all = append(all, Trial{Params: configs[i].params, Value: configs[i].value})
-				}
-			}
-			sort.Slice(configs, func(i, j int) bool { return configs[i].value > configs[j].value })
-			keep := int(math.Max(1, float64(len(configs))/eta))
-			configs = configs[:keep]
-			// Record the survivors of the final round even if the top
-			// budget was not reached exactly.
-			if round == s {
-				for _, c := range configs {
-					all = append(all, Trial{Params: c.params, Value: c.value})
-				}
-			}
-		}
-	}
-	return all
 }
 
 // Importance estimates per-parameter influence on the objective from a

@@ -2,6 +2,7 @@ package hpo
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ var space2D = Space{
 }
 
 func TestRandomSearchFindsDecentPoint(t *testing.T) {
-	trials := RandomSearch(space2D, sphere, 200, 1)
+	trials := randomSearch(space2D, sphere, 200, 1)
 	if len(trials) != 200 {
 		t.Fatalf("trials = %d", len(trials))
 	}
@@ -30,29 +31,10 @@ func TestRandomSearchFindsDecentPoint(t *testing.T) {
 }
 
 func TestRandomSearchDeterministic(t *testing.T) {
-	a := Best(RandomSearch(space2D, sphere, 50, 7))
-	b := Best(RandomSearch(space2D, sphere, 50, 7))
+	a := Best(randomSearch(space2D, sphere, 50, 7))
+	b := Best(randomSearch(space2D, sphere, 50, 7))
 	if a.Value != b.Value {
 		t.Fatal("random search not deterministic")
-	}
-}
-
-func TestGridSearchCoversCorners(t *testing.T) {
-	trials := GridSearch(space2D, sphere, 5)
-	if len(trials) != 25 {
-		t.Fatalf("grid size = %d", len(trials))
-	}
-	sawOrigin, sawMax := false, false
-	for _, tr := range trials {
-		if tr.Params["x"] == 0 && tr.Params["y"] == 0 {
-			sawOrigin = true
-		}
-		if tr.Params["x"] == 1 && tr.Params["y"] == 1 {
-			sawMax = true
-		}
-	}
-	if !sawOrigin || !sawMax {
-		t.Fatal("grid corners missing")
 	}
 }
 
@@ -62,7 +44,7 @@ func TestTPEBeatsRandomOnSmoothObjective(t *testing.T) {
 	// Average over a few seeds to avoid flakiness.
 	for seed := int64(0); seed < 5; seed++ {
 		bestTPE += Best(TPE(space2D, sphere, budget, seed)).Value
-		bestRnd += Best(RandomSearch(space2D, sphere, budget, seed)).Value
+		bestRnd += Best(randomSearch(space2D, sphere, budget, seed)).Value
 	}
 	if bestTPE < bestRnd-0.01 {
 		t.Fatalf("TPE (%v) should not lose clearly to random (%v)", bestTPE, bestRnd)
@@ -78,7 +60,7 @@ func TestTPEConvergesNearOptimum(t *testing.T) {
 
 func TestIntegerParam(t *testing.T) {
 	space := Space{{Name: "n", Min: 1, Max: 10, Integer: true}}
-	trials := RandomSearch(space, func(p map[string]float64) float64 { return -math.Abs(p["n"] - 5) }, 50, 2)
+	trials := randomSearch(space, func(p map[string]float64) float64 { return -math.Abs(p["n"] - 5) }, 50, 2)
 	for _, tr := range trials {
 		if tr.Params["n"] != math.Round(tr.Params["n"]) {
 			t.Fatalf("non-integer value: %v", tr.Params["n"])
@@ -86,27 +68,10 @@ func TestIntegerParam(t *testing.T) {
 	}
 }
 
-func TestHyperbandPrefersGoodConfigs(t *testing.T) {
-	// Budgeted objective: noisy at small budgets, converging to the true
-	// sphere value at full budget.
-	obj := func(p map[string]float64, budget int) float64 {
-		noise := 0.5 / float64(budget)
-		return sphere(p) - noise
-	}
-	trials := Hyperband(space2D, obj, 81, 3, 4)
-	if len(trials) == 0 {
-		t.Fatal("no trials returned")
-	}
-	best := Best(trials)
-	if best.Value < -0.1 {
-		t.Fatalf("hyperband best = %+v", best)
-	}
-}
-
 func TestImportanceIdentifiesDominantParam(t *testing.T) {
 	// Objective depends only on x: importance must concentrate there.
 	objX := func(p map[string]float64) float64 { return p["x"] }
-	trials := RandomSearch(space2D, objX, 300, 5)
+	trials := randomSearch(space2D, objX, 300, 5)
 	imp := Importance(space2D, trials)
 	if imp["x"] < 0.9 {
 		t.Fatalf("importance = %v", imp)
@@ -125,7 +90,7 @@ func TestCorrelationsDegenerate(t *testing.T) {
 		t.Fatalf("empty = %v", got)
 	}
 	// Constant objective → zero correlation.
-	trials := RandomSearch(space2D, func(map[string]float64) float64 { return 1 }, 20, 6)
+	trials := randomSearch(space2D, func(map[string]float64) float64 { return 1 }, 20, 6)
 	corr := Correlations(space2D, trials)
 	if corr["x"] != 0 || corr["y"] != 0 {
 		t.Fatalf("constant corr = %v", corr)
@@ -140,11 +105,26 @@ func TestBestEmpty(t *testing.T) {
 }
 
 func TestRenderAnalysis(t *testing.T) {
-	trials := RandomSearch(space2D, sphere, 40, 8)
+	trials := randomSearch(space2D, sphere, 40, 8)
 	out := RenderAnalysis(space2D, trials)
 	for _, want := range []string{"best value", "importance", "corr", "x", "y"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("analysis missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// randomSearch evaluates n uniform draws: the baseline TPE must beat,
+// and a trial history for the analysis tests.
+func randomSearch(space Space, obj Objective, n int, seed int64) []Trial {
+	rng := rand.New(rand.NewSource(seed))
+	trials := make([]Trial, 0, n)
+	for i := 0; i < n; i++ {
+		params := map[string]float64{}
+		for _, p := range space {
+			params[p.Name] = p.sample(rng)
+		}
+		trials = append(trials, Trial{Params: params, Value: obj(params)})
+	}
+	return trials
 }

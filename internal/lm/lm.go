@@ -123,9 +123,8 @@ func (m *Model) LogProbWords(words []string) (logProb float64, n int) {
 	return logProb, n
 }
 
-// PerplexityWords computes 2^(-logProb/n) for a word stream. It
-// implements the filter.PerplexityScorer contract. An untrained model
-// returns +Inf; empty input returns 0.
+// PerplexityWords computes 2^(-logProb/n) for a word stream. An
+// untrained model returns +Inf; empty input returns 0.
 func (m *Model) PerplexityWords(words []string) float64 {
 	if len(words) == 0 {
 		return 0

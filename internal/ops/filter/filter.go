@@ -7,8 +7,6 @@
 package filter
 
 import (
-	"sync/atomic"
-
 	"repro/internal/ops"
 	"repro/internal/sample"
 )
@@ -40,61 +38,3 @@ func newRange(p ops.Params, minKey string, minDef float64, maxKey string, maxDef
 }
 
 func (r rangeKeep) within(v float64) bool { return v >= r.min && v <= r.max }
-
-// PerplexityScorer scores text noisiness; lower is more natural. The
-// production implementation is the n-gram LM in internal/lm.
-type PerplexityScorer interface {
-	PerplexityWords(words []string) float64
-}
-
-// TokenCounter counts model tokens; the production implementation is the
-// BPE tokenizer in internal/tokenizer.
-type TokenCounter interface {
-	CountTokens(text string) int
-}
-
-// QualityScorer maps text to a quality probability in [0, 1]; the
-// production implementation is the logistic-regression classifier in
-// internal/quality.
-type QualityScorer interface {
-	QualityScore(text string) float64
-}
-
-// Injection points for the model-backed filters. Experiments install the
-// real models; unit tests may install stubs. Stored atomically so builds
-// and installs can interleave freely.
-var (
-	perplexityModel atomic.Value // PerplexityScorer
-	tokenCounter    atomic.Value // TokenCounter
-	qualityScorer   atomic.Value // QualityScorer
-)
-
-// SetPerplexityModel installs the scorer used by perplexity_filter.
-func SetPerplexityModel(m PerplexityScorer) { perplexityModel.Store(&m) }
-
-// SetTokenCounter installs the counter used by token_num_filter.
-func SetTokenCounter(c TokenCounter) { tokenCounter.Store(&c) }
-
-// SetQualityScorer installs the scorer used by quality_score_filter.
-func SetQualityScorer(q QualityScorer) { qualityScorer.Store(&q) }
-
-func getPerplexityModel() PerplexityScorer {
-	if v, ok := perplexityModel.Load().(*PerplexityScorer); ok && *v != nil {
-		return *v
-	}
-	return nil
-}
-
-func getTokenCounter() TokenCounter {
-	if v, ok := tokenCounter.Load().(*TokenCounter); ok && *v != nil {
-		return *v
-	}
-	return nil
-}
-
-func getQualityScorer() QualityScorer {
-	if v, ok := qualityScorer.Load().(*QualityScorer); ok && *v != nil {
-		return *v
-	}
-	return nil
-}

@@ -176,24 +176,7 @@ func TestLanguageFilterWritesLangStat(t *testing.T) {
 	}
 }
 
-type stubPerplexity struct{ v float64 }
-
-func (s stubPerplexity) PerplexityWords([]string) float64 { return s.v }
-
-func TestPerplexityFilterWithModel(t *testing.T) {
-	SetPerplexityModel(stubPerplexity{v: 100})
-	defer SetPerplexityModel(nil)
-	if !textVerdict(t, "perplexity_filter", ops.Params{"max_ppl": 500}, "any text") {
-		t.Fatal("low ppl rejected")
-	}
-	SetPerplexityModel(stubPerplexity{v: 10000})
-	if textVerdict(t, "perplexity_filter", ops.Params{"max_ppl": 500}, "any text") {
-		t.Fatal("high ppl accepted")
-	}
-}
-
 func TestPerplexityFilterFallback(t *testing.T) {
-	SetPerplexityModel(nil)
 	// Repetitive text has low entropy → low fallback perplexity.
 	rep := strings.Repeat("same same same ", 50)
 	s := sample.New(rep)
@@ -208,24 +191,21 @@ func TestPerplexityFilterFallback(t *testing.T) {
 	}
 }
 
-type stubTokens struct{ n int }
-
-func (s stubTokens) CountTokens(string) int { return s.n }
-
 func TestTokenNumFilter(t *testing.T) {
-	SetTokenCounter(stubTokens{n: 50})
-	defer SetTokenCounter(nil)
-	if !textVerdict(t, "token_num_filter", ops.Params{"min_num": 10, "max_num": 100}, "x") {
+	// Six words count as 6*4/3 = 8 tokens.
+	six := "one two three four five six"
+	if !textVerdict(t, "token_num_filter", ops.Params{"min_num": 8, "max_num": 8}, six) {
 		t.Fatal("in-range rejected")
 	}
-	SetTokenCounter(stubTokens{n: 5})
-	if textVerdict(t, "token_num_filter", ops.Params{"min_num": 10}, "x") {
+	if textVerdict(t, "token_num_filter", ops.Params{"min_num": 9}, six) {
 		t.Fatal("too-few accepted")
+	}
+	if textVerdict(t, "token_num_filter", ops.Params{"min_num": 1, "max_num": 7}, six) {
+		t.Fatal("too-many accepted")
 	}
 }
 
 func TestTokenNumFilterFallback(t *testing.T) {
-	SetTokenCounter(nil)
 	s := sample.New("one two three four five six")
 	verdict(t, "token_num_filter", ops.Params{"min_num": 1}, s)
 	if v, ok := s.Stat("num_tokens"); !ok || v < 6 {
@@ -233,24 +213,17 @@ func TestTokenNumFilterFallback(t *testing.T) {
 	}
 }
 
-type stubQuality struct{ v float64 }
-
-func (s stubQuality) QualityScore(string) float64 { return s.v }
-
 func TestQualityScoreFilter(t *testing.T) {
-	SetQualityScorer(stubQuality{v: 0.9})
-	defer SetQualityScorer(nil)
-	if !textVerdict(t, "quality_score_filter", nil, "x") {
+	prose := "the report was written with care and it describes the methods that the team used"
+	if !textVerdict(t, "quality_score_filter", nil, prose) {
 		t.Fatal("high quality rejected")
 	}
-	SetQualityScorer(stubQuality{v: 0.1})
-	if textVerdict(t, "quality_score_filter", nil, "x") {
+	if textVerdict(t, "quality_score_filter", nil, "$$$ ### @@@ ~~ || ^^ %% && ** (( ))") {
 		t.Fatal("low quality accepted")
 	}
 }
 
 func TestQualityScoreFilterHeuristicFallback(t *testing.T) {
-	SetQualityScorer(nil)
 	good := sample.New("the report was written with care and it describes the methods that the team used")
 	bad := sample.New("$$$ ### @@@ ~~ || ^^ %% && ** (( ))")
 	verdict(t, "quality_score_filter", ops.Params{"min_score": 0}, good)

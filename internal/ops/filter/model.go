@@ -103,14 +103,7 @@ func (f *perplexityFilter) ComputeStats(s *sample.Sample) error {
 	if _, ok := s.Stats.Float(keyPerplexity); ok {
 		return nil
 	}
-	words := ops.WordsLowerOf(s)
-	var ppl float64
-	if m := getPerplexityModel(); m != nil {
-		ppl = m.PerplexityWords(words)
-	} else {
-		ppl = fallbackPerplexity(words)
-	}
-	s.Stats.SetFloat(keyPerplexity, ppl)
+	s.Stats.SetFloat(keyPerplexity, fallbackPerplexity(ops.WordsLowerOf(s)))
 	return nil
 }
 
@@ -132,8 +125,8 @@ const pplMaxPooledWords = 1 << 12
 
 var pplScratchPool = sync.Pool{New: func() any { return &pplScratch{freq: map[string]int{}} }}
 
-// fallbackPerplexity is used when no LM has been installed: an entropy
-// proxy over the word distribution (degenerate repetitive text scores low,
+// fallbackPerplexity is perplexity_filter's score in place of an LM: an
+// entropy proxy over the word distribution (degenerate repetitive text scores low,
 // random noise scores high) scaled into a KenLM-like range.
 //
 // The entropy terms are summed in ascending-count order: floating-point
@@ -183,14 +176,8 @@ func (f *tokenNumFilter) ComputeStats(s *sample.Sample) error {
 	if _, ok := s.Stats.Float(keyNumTokens); ok {
 		return nil
 	}
-	var n int
-	if c := getTokenCounter(); c != nil {
-		n = c.CountTokens(f.text(s))
-	} else {
-		// Fallback heuristic: subword tokenizers emit ~4/3 tokens per word.
-		n = len(ops.WordsLowerOf(s)) * 4 / 3
-	}
-	s.Stats.SetFloat(keyNumTokens, float64(n))
+	// In place of a tokenizer: subword tokenizers emit ~4/3 tokens per word.
+	s.Stats.SetFloat(keyNumTokens, float64(len(ops.WordsLowerOf(s))*4/3))
 	return nil
 }
 
@@ -211,14 +198,7 @@ func (f *qualityScoreFilter) ComputeStats(s *sample.Sample) error {
 	if _, ok := s.Stats.Float(keyQualityScore); ok {
 		return nil
 	}
-	t := f.text(s)
-	var score float64
-	if q := getQualityScorer(); q != nil {
-		score = q.QualityScore(t)
-	} else {
-		score = heuristicQuality(t)
-	}
-	s.Stats.SetFloat(keyQualityScore, score)
+	s.Stats.SetFloat(keyQualityScore, heuristicQuality(f.text(s)))
 	return nil
 }
 
@@ -227,8 +207,8 @@ func (f *qualityScoreFilter) Keep(s *sample.Sample) bool {
 	return v >= f.minScore
 }
 
-// heuristicQuality blends cheap signals into a [0,1] score when no trained
-// classifier is installed: mostly-alphanumeric, low-special-character text
+// heuristicQuality blends cheap signals into a [0,1] score in place of a
+// trained classifier: mostly-alphanumeric, low-special-character text
 // with a healthy stopword share looks like prose.
 func heuristicQuality(t string) float64 {
 	if t == "" {

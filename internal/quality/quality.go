@@ -204,8 +204,8 @@ func normalize(f map[int]float64) map[int]float64 {
 // Kind returns the classifier variant.
 func (c *Classifier) Kind() Kind { return c.kind }
 
-// QualityScore implements the filter.QualityScorer contract: the model's
-// probability that text is high-quality.
+// QualityScore returns the model's probability that text is
+// high-quality.
 func (c *Classifier) QualityScore(s string) float64 {
 	return c.model.Predict(normalize(c.tf.Transform(c.tokenize(s))))
 }

@@ -19,10 +19,11 @@
 //
 // With the recipe's cache enabled, every shard's leading run of
 // shard-local ops is cached per (shard content, op chain) key via
-// internal/cache, so an interrupted run resumes at shard granularity.
-// Each shard-local stage is one core.Walk — the same probe/apply/put
-// loop as the batch executor's — whether it runs in-process or on a
-// djworker fleet (see dispatch.go).
+// internal/cache, so an interrupted run resumes at shard granularity;
+// with only use_checkpoint, the same walk keeps just the latest state of
+// each shard's chain (see core.OpenStore). Each shard-local stage is one
+// core.Walk — the same probe/apply/put loop as the batch executor's —
+// whether it runs in-process or on a djworker fleet (see dispatch.go).
 //
 // The pipeline's shape is fixed for the whole run: np workers (the
 // recipe's worker count), a static shard size, and a gate bounding the
@@ -34,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -99,6 +99,7 @@ type Engine struct {
 	phases      []phase
 	runner      *core.OpRunner
 	store       *cache.Store
+	keepLatest  bool // store is a checkpoint, emptied when a run succeeds
 	shardSize   int
 	maxInFlight int
 	np          int
@@ -216,12 +217,8 @@ func New(r *config.Recipe, opts Options) (*Engine, error) {
 			tracer.SetSink(core.TraceJournalSink(e.tele))
 		}
 	}
-	if r.UseCache {
-		store, err := cache.NewStore(filepath.Join(r.WorkDir, "stream-cache"), "")
-		if err != nil {
-			return nil, err
-		}
-		e.store = store
+	if e.store, e.keepLatest, err = core.OpenStore(r, "stream-cache"); err != nil {
+		return nil, err
 	}
 	// Barrier deduplicators (minhash/simhash/vector) spill through the
 	// same op-level machinery as the batch backend; shared-index stages
@@ -321,6 +318,11 @@ func (e *Engine) Run(src Source, sink Sink) (*Report, error) {
 	}
 	if err := sink.Close(); err != nil {
 		return nil, err
+	}
+	if e.keepLatest {
+		// Best-effort: a state left behind is still a valid resume point
+		// of its chain.
+		_ = e.store.Clear()
 	}
 	rep := agg.finish(sourceShards, totalIn, totalOut, time.Since(start))
 	// Attribute fused ops to their members (cumulative across executed
@@ -596,7 +598,7 @@ func (p *phaseRun) runLocal(st stage, d *dataset.Dataset, shardIdx int, shardSpa
 	if p.aborted() {
 		return nil, false, errAborted
 	}
-	w := core.Walk{Runner: e.runner, Ops: st.ops, First: st.first, NP: 1}
+	w := core.Walk{Runner: e.runner, Ops: st.ops, First: st.first, NP: 1, KeepLatest: e.keepLatest}
 	key := ""
 	if st.cacheable && e.store != nil {
 		w.Store = e.store

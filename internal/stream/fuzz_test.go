@@ -16,7 +16,7 @@ import (
 // referenceParse is the straightforward (non-incremental) reading of a
 // JSONL byte stream with the source's exact line discipline: trimmed
 // lines, blank lines skipped, format.SampleFromJSON decoding. The fuzz
-// target holds JSONLSource — incremental buffering, shard slicing, file
+// target holds SampleSource — incremental buffering, shard slicing, file
 // advancing and all — to this oracle.
 func referenceParse(data []byte) ([]string, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
@@ -86,10 +86,7 @@ func FuzzJSONLSource(f *testing.F) {
 		}
 		shardSize := 1 + len(data)%7
 
-		src, err := NewJSONLSource(shardSize, path)
-		if err != nil {
-			t.Fatalf("NewJSONLSource: %v", err)
-		}
+		src := openFiles(t, shardSize, path)
 		got, sizes, gotErr := drainSource(src)
 		src.Close()
 

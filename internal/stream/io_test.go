@@ -105,11 +105,22 @@ func TestShardedSinkRoundTrip(t *testing.T) {
 		t.Fatalf("leftover part files: %v", leftovers)
 	}
 
-	src, err := NewJSONLSource(8, paths...)
+	assertSameSamples(t, drain(t, openFiles(t, 8, paths...)), want)
+}
+
+// openFiles streams the given files back-to-back as one source of
+// shardSize-sample shards.
+func openFiles(t testing.TB, shardSize int, paths ...string) *SampleSource {
+	t.Helper()
+	fs, err := format.OpenFiles(paths...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameSamples(t, drain(t, src), want)
+	src, err := NewSampleSource(fs, shardSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
 }
 
 func filepathShardName(prefix string, i, n int) string {
@@ -132,11 +143,7 @@ func TestJSONLSourceMatchesBatchLoader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewJSONLSource(2, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSamples(t, drain(t, src), want)
+	assertSameSamples(t, drain(t, openFiles(t, 2, path)), want)
 }
 
 // TestOpenSourceSpecs resolves the spec families.
@@ -164,8 +171,8 @@ func TestOpenSourceSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src.(*JSONLSource); !ok {
-		t.Fatalf("jsonl file resolved to %T, want *JSONLSource", src)
+	if _, ok := src.(*SampleSource); !ok {
+		t.Fatalf("jsonl file resolved to %T, want *SampleSource", src)
 	}
 	assertSameSamples(t, drain(t, src), d)
 
@@ -177,8 +184,8 @@ func TestOpenSourceSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src.(*JSONLSource); !ok {
-		t.Fatalf("jsonl dir resolved to %T, want *JSONLSource", src)
+	if _, ok := src.(*SampleSource); !ok {
+		t.Fatalf("jsonl dir resolved to %T, want *SampleSource", src)
 	}
 	if got := drain(t, src); got.Len() != 40 {
 		t.Fatalf("dir source yielded %d samples, want 40", got.Len())

@@ -22,8 +22,8 @@ type Sink interface {
 // of accumulating in memory. Because the total shard count is unknown
 // until the stream ends, shards are first written as
 // "<prefix>-NNNNN.jsonl.part" and atomically renamed to the final
-// "<prefix>-NNNNN-of-MMMMM.jsonl" layout (the same naming
-// format.ExportSharded uses) on Close. Empty shards are skipped.
+// "<prefix>-NNNNN-of-MMMMM.jsonl" layout on Close, which a directory
+// load (format.Load) reads back in order. Empty shards are skipped.
 type ShardedJSONLSink struct {
 	prefix string
 	parts  []string

@@ -47,24 +47,6 @@ func NewSampleSource(src format.Source, shardSize int) (*SampleSource, error) {
 	return &SampleSource{src: src, shardSize: shardSize}, nil
 }
 
-// JSONLSource is the historical name of the incremental file-backed
-// source; it is now the general SampleSource.
-type JSONLSource = SampleSource
-
-// NewJSONLSource opens a streaming source over the given files (not
-// necessarily JSONL — any supported extension), read back-to-back as one
-// logical stream.
-func NewJSONLSource(shardSize int, paths ...string) (*SampleSource, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("stream: no input files")
-	}
-	fs, err := format.OpenFiles(paths...)
-	if err != nil {
-		return nil, err
-	}
-	return NewSampleSource(fs, shardSize)
-}
-
 // Next returns the next shard of up to shardSize samples, filled
 // batch-granularly from the reader (one pre-sized slice per shard, no
 // append growth, and the reader's batch path amortizes per-sample

@@ -69,7 +69,9 @@ func TestGoldenTimeline(t *testing.T) {
 	if len(tl.Ops) != 2 {
 		t.Fatalf("got %d ops, want 2", len(tl.Ops))
 	}
-	if tl.Ops[0].Name != "a_mapper" || tl.Ops[0].In != 50 || tl.Ops[0].Wall != 200000 {
+	// a_mapper: one execution (50 in, 200µs) and one cache hit (10 in,
+	// no wall time).
+	if o := tl.Ops[0]; o.Name != "a_mapper" || o.In != 60 || o.Wall != 200000 || o.Applications != 2 || o.CacheHits != 1 {
 		t.Errorf("a_mapper aggregation wrong: %+v", tl.Ops[0])
 	}
 	if len(tl.Phases) != 1 || tl.Phases[0].Shards != 1 || tl.Phases[0].Dur != 600000 {
@@ -233,5 +235,46 @@ func TestJournalConcurrentWriters(t *testing.T) {
 	}
 	if want := workers*writes + 2; len(events) != want {
 		t.Fatalf("decoded %d events, want %d", len(events), want)
+	}
+}
+
+// TestGoldenCachedStreamTimeline: the journal of a fully cached -stream
+// re-run (3 shard-local ops, 4 shards of 10) holds cache_hit events
+// only; every planned op still renders, with its flow and its
+// "[4 cached]" marker.
+func TestGoldenCachedStreamTimeline(t *testing.T) {
+	events, err := ReadJournal(filepath.Join("testdata", "cached_stream.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, err := BuildTimeline(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tl.Render()
+	for _, want := range []string{
+		"status: ok, 40 -> 32 samples", "4 shards, 4 resumed",
+		"whitespace_normalization_mapper", "lowercase_mapper", "word_num_filter",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
+	wantOut := []int64{40, 40, 32}
+	if len(tl.Ops) != len(wantOut) {
+		t.Fatalf("got %d ops, want %d:\n%s", len(tl.Ops), len(wantOut), out)
+	}
+	for i, o := range tl.Ops {
+		if o.PlanIdx != i || o.In != 40 || o.Out != wantOut[i] || o.Applications != 4 || o.CacheHits != 4 || o.Wall != 0 {
+			t.Errorf("op %d = %+v, want 40 -> %d over 4 cached applications", i, o, wantOut[i])
+		}
+		row := fmt.Sprintf("%d -> %d (4 apps) [4 cached]", o.In, o.Out)
+		found := false
+		for _, line := range strings.Split(out, "\n") {
+			found = found || strings.HasPrefix(strings.TrimSpace(line), o.Name+" ") && strings.HasSuffix(line, row)
+		}
+		if !found {
+			t.Errorf("render has no %s row ending %q:\n%s", o.Name, row, out)
+		}
 	}
 }

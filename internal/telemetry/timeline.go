@@ -150,7 +150,9 @@ func BuildTimeline(events []Event) (*Timeline, error) {
 					phases[n].Dur = time.Duration(e.DurNS)
 				}
 			}
-		case EvOpComplete:
+		case EvOpComplete, EvCacheHit:
+			// A cache hit is an application served from the op-chain
+			// store: it carries counts but no wall time.
 			o, ok := ops[e.Name]
 			if !ok {
 				o = &OpTimeline{Name: e.Name, PlanIdx: e.PlanIdx}
@@ -161,7 +163,7 @@ func BuildTimeline(events []Event) (*Timeline, error) {
 			o.Out += e.Out
 			o.Wall += time.Duration(e.DurNS)
 			o.Applications++
-			if e.CacheHit {
+			if e.Type == EvCacheHit {
 				o.CacheHits++
 			}
 			if e.Worker > 0 {

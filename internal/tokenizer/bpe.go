@@ -127,9 +127,6 @@ func Train(corpus []string, numMerges int) *BPE {
 // VocabSize returns the number of known tokens.
 func (b *BPE) VocabSize() int { return len(b.vocab) }
 
-// NumMerges returns the number of learned merges.
-func (b *BPE) NumMerges() int { return len(b.merges) }
-
 // encodeWord applies the learned merges to one lower-cased word.
 func (b *BPE) encodeWord(w string) []string {
 	syms := make([]string, 0, len(w)+1)
@@ -190,7 +187,7 @@ func (b *BPE) Decode(ids []int) string {
 	return strings.TrimSpace(strings.ReplaceAll(sb.String(), endOfWord, " "))
 }
 
-// CountTokens implements the filter.TokenCounter contract.
+// CountTokens returns the number of tokens text encodes to.
 func (b *BPE) CountTokens(text string) int { return len(b.Tokenize(text)) }
 
 // persisted is the on-disk form.

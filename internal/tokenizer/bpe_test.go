@@ -22,7 +22,7 @@ func trained(t *testing.T) *BPE {
 
 func TestTrainProducesMergesAndVocab(t *testing.T) {
 	b := trained(t)
-	if b.NumMerges() == 0 {
+	if len(b.merges) == 0 {
 		t.Fatal("no merges learned")
 	}
 	if b.VocabSize() == 0 {
@@ -65,7 +65,7 @@ func TestCountTokensMonotonicInLength(t *testing.T) {
 func TestDeterministicTraining(t *testing.T) {
 	a := Train(trainCorpus, 80)
 	b := Train(trainCorpus, 80)
-	if a.VocabSize() != b.VocabSize() || a.NumMerges() != b.NumMerges() {
+	if a.VocabSize() != b.VocabSize() || len(a.merges) != len(b.merges) {
 		t.Fatal("training not deterministic")
 	}
 	ta := a.Tokenize("the quick brown fox")

@@ -5,10 +5,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -202,16 +199,4 @@ func (t *Tracer) Summary() string {
 			e.OpName, e.InCount, e.OutCount, pct, e.Duration.Round(time.Microsecond), cached)
 	}
 	return b.String()
-}
-
-// WriteJSON dumps the full lineage to path for offline inspection.
-func (t *Tracer) WriteJSON(path string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(t.Events(), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, raw, 0o644)
 }

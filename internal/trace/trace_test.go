@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -57,26 +54,6 @@ func TestSummaryFormat(t *testing.T) {
 	}
 	if !strings.Contains(s, "[cache]") {
 		t.Fatalf("cache marker missing: %q", s)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	tr := New(3)
-	tr.Record(Event{OpName: "a", Kind: "mapper"})
-	path := filepath.Join(t.TempDir(), "sub", "trace.json")
-	if err := tr.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []Event
-	if err := json.Unmarshal(raw, &events); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || events[0].OpName != "a" {
-		t.Fatalf("round trip = %+v", events)
 	}
 }
 
