@@ -132,16 +132,10 @@ func (s *Store) Delete(key string) error {
 // Clear removes every entry (and any temp file a failed write left):
 // a checkpoint is emptied once its run has succeeded.
 func (s *Store) Clear() error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
+	if err := os.RemoveAll(s.dir); err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			os.Remove(filepath.Join(s.dir, e.Name()))
-		}
-	}
-	return nil
+	return os.MkdirAll(s.dir, 0o755)
 }
 
 // Keys lists the stored cache keys.

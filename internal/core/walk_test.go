@@ -208,7 +208,8 @@ func TestWalkResumesDeepestState(t *testing.T) {
 
 // TestWalkKeepLatest: a keep-latest walk deletes each state once the
 // next one has committed, so one state of the chain is left: the last.
-// A walk resumed from a state deletes that state when it moves past it.
+// A walk resumed from a state deletes that state when it moves past it,
+// in-process or dispatched.
 func TestWalkKeepLatest(t *testing.T) {
 	store := newMemStore()
 	w, _ := newWalk(t, store)
@@ -233,6 +234,24 @@ func TestWalkKeepLatest(t *testing.T) {
 	}
 	if len(mid.m) != 1 || mid.m[last] == nil || mid.deletes[0] != store.puts[0] {
 		t.Fatalf("resumed keep-latest walk: states %d, deletes %v", len(mid.m), mid.deletes)
+	}
+
+	// A dispatched suffix commits its one result, then drops the state it
+	// resumed from.
+	local, _ := newWalk(t, nil)
+	remote := newMemStore()
+	remote.m[store.puts[0]] = store.m[last]
+	w3, _ := newWalk(t, remote)
+	w3.KeepLatest = true
+	w3.Remote = func(_, _ int, d *dataset.Dataset) (*dataset.Dataset, []dist.OpFlow, int, error) {
+		out, err := local.Run(d, "")
+		return out, nil, 1, err
+	}
+	if _, err := w3.Run(walkTexts(), "k0"); err != nil {
+		t.Fatal(err)
+	}
+	if len(remote.m) != 1 || remote.m[last] == nil || fmt.Sprint(remote.deletes) != fmt.Sprint(store.puts[:1]) {
+		t.Fatalf("dispatched keep-latest walk: states %d, deletes %v", len(remote.m), remote.deletes)
 	}
 }
 
