@@ -126,8 +126,8 @@ const pplMaxPooledWords = 1 << 12
 var pplScratchPool = sync.Pool{New: func() any { return &pplScratch{freq: map[string]int{}} }}
 
 // fallbackPerplexity is perplexity_filter's score in place of an LM: an
-// entropy proxy over the word distribution (degenerate repetitive text scores low,
-// random noise scores high) scaled into a KenLM-like range.
+// entropy proxy over the word distribution (degenerate repetitive text
+// scores low, random noise scores high) scaled into a KenLM-like range.
 //
 // The entropy terms are summed in ascending-count order: floating-point
 // addition is not associative, and iterating the map directly would make
